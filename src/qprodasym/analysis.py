@@ -15,8 +15,8 @@ from typing import IO, Sequence
 
 from ._backend import get_backend
 from .arith import coprime_residues, lcm_all
-from .asymptotics import (PhaseExponent, _h_sum, classify_arcs, delta_arc,
-                          g_asymptotic, omega_big)
+from .asymptotics import (HypothesisError, PhaseExponent, _h_sum,
+                          classify_arcs, delta_arc, g_asymptotic, omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -141,16 +141,17 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
     """Exact g(n) vs the truncated approximation, compared in log space."""
     if not n_values:
         return []
+    omega = omega_big(spec)
+    for n in n_values:
+        if Fraction(n) <= -omega / 24:
+            raise HypothesisError(f"n = {n} violates n > -Omega/24")
     top = max(n_values)
     if series is None:
         series = expand_spec(spec, top)
     elif series.truncation_order < top:
         raise ValueError("requested n exceeds the available truncation")
-    omega = omega_big(spec)
     rows = []
     for n in n_values:
-        if Fraction(n) <= -omega / 24:
-            raise ValueError(f"n = {n} violates n > -Omega/24")
         exact = series[n]
         approx = g_asymptotic(spec, n, K, precision)
         log_exact = math.log(abs(exact)) if exact else None

@@ -9,7 +9,6 @@ exact cancellation matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -96,20 +95,6 @@ def dedekind_sum_fast(d: int, c: int) -> Fraction:
         sign = -sign
         c, d = d, c % d
     return result
-
-
-@dataclass(frozen=True)
-class FareyPair:
-    """A reduced fraction h/k with 0 <= h < k and gcd(h, k) = 1."""
-
-    h: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or not 0 <= self.h < max(self.k, 1):
-            raise ValueError("need 0 <= h < k with k >= 1")
-        if math.gcd(self.h, self.k) != 1:
-            raise ValueError("need gcd(h, k) = 1")
 
 
 def coprime_residues(k: int, kappa: int | None = None,

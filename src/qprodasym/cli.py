@@ -20,6 +20,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import analysis, asymptotics, transform
+from .analysis import _fmt
 from .qseries import (ProductSpec, expand_spec, series_to_csv, series_to_json)
 
 USAGE_ERROR = 1
@@ -67,10 +68,6 @@ def _out_stream(path: str | None):
     if path is None:
         return nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _frac(x: Fraction) -> str:

@@ -4,6 +4,13 @@
 
 with arbitrary-precision integer coefficients, plus an independent
 expansion oracle computed by a structurally different route.
+
+The expander uses the Jacobi triple product: each factor
+(q^r, q^{m-r}; q^m)_inf is the theta series T_{m,r} over Euler's
+pentagonal series E_m = (q^m; q^m)_inf.  Both have O(sqrt(N/m)) terms up
+to q^N, so multiplying or dividing a length-N series by one costs
+O(N sqrt(N/m)) per unit of |delta|, in place of O(N^2/m) for applying
+every binomial (1 - q^e) in turn.
 """
 
 from __future__ import annotations
@@ -78,50 +85,107 @@ class CoeffSeries:
         return len(self.coeffs)
 
 
-def _mul_factor_inplace(c: list[int], t: int) -> None:
-    # multiply by (1 - q^t): c[n] -= c[n - t], top-down order irrelevant
-    # because we iterate downward over a copy-free recurrence.
-    for n in range(len(c) - 1, t - 1, -1):
-        c[n] -= c[n - t]
-
-
-def _div_factor_inplace(c: list[int], t: int) -> None:
-    # divide by (1 - q^t): prefix sum with stride t.
-    for n in range(t, len(c)):
-        c[n] += c[n - t]
-
-
 def apply_factor(series: CoeffSeries, t: int, direction: str = "multiply") -> CoeffSeries:
     """Multiply or divide a series by (1 - q^t), truncation order unchanged."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     c = list(series.coeffs)
     if direction == "multiply":
-        _mul_factor_inplace(c, t)
+        # c[n] -= c[n - t], top-down so c[n - t] is still the old value
+        for n in range(len(c) - 1, t - 1, -1):
+            c[n] -= c[n - t]
     elif direction == "divide":
-        _div_factor_inplace(c, t)
+        # prefix sum with stride t
+        for n in range(t, len(c)):
+            c[n] += c[n - t]
     else:
         raise ValueError("direction must be 'multiply' or 'divide'")
     return CoeffSeries(c)
 
 
-def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
-    """Exact coefficients g(0..N) by the stride difference/prefix-sum method.
+def _theta_terms(m: int, r: int, N: int) -> list[tuple[int, int]]:
+    """Nonconstant terms (e, t), e <= N ascending, of the triple product
 
-    Each Pochhammer factor contributes binomials (1 - q^e) for
-    e = a, a + m, a + 2m, ... <= N with a in {r, m - r}; each is applied
-    |delta| times, multiplying for delta > 0 and dividing for delta < 0.
+        T_{m,r} = sum_{n in Z} (-1)^n q^{m n(n-1)/2 + r n}
+                = (q^r, q^{m-r}, q^m; q^m)_inf.
+
+    The exponents at n and -n coincide exactly when 2r = m; those terms
+    merge into one with coefficient 2(-1)^n.  Euler's pentagonal series
+    (q^m; q^m)_inf is T_{3m,m}.
+    """
+    terms: dict[int, int] = {}
+    n = 1
+    while True:
+        t = -1 if n % 2 else 1
+        e_pos = m * n * (n - 1) // 2 + r * n   # exponent at n
+        e_neg = m * n * (n + 1) // 2 - r * n   # exponent at -n
+        if min(e_pos, e_neg) > N:
+            return sorted(terms.items())
+        for e in (e_pos, e_neg):
+            if e <= N:
+                terms[e] = terms.get(e, 0) + t
+        n += 1
+
+
+def _sign_runs(terms: list[tuple[int, int]], N: int) -> list[tuple]:
+    """Split 1..N into runs (lo, hi, plus, minus): for lo <= n < hi the
+    terms (e, t) with e <= n are those with e in plus (t > 0) or in minus
+    (t < 0).  The stretch below the first exponent, where none apply, is
+    left out."""
+    plus: list[int] = []
+    minus: list[int] = []
+    runs = []
+    for i, (e, t) in enumerate(terms):
+        (plus if t > 0 else minus).append(e)
+        hi = terms[i + 1][0] if i + 1 < len(terms) else N + 1
+        runs.append((e, hi, plus[:], minus[:]))
+    return runs
+
+
+def _mul_sparse_inplace(c: list[int], runs, s: int) -> None:
+    # multiply by 1 + s(sum_plus q^e - sum_minus q^e): top-down, so every
+    # c[n - e] is still old
+    for lo, hi, plus, minus in reversed(runs):
+        for n in range(hi - 1, lo - 1, -1):
+            c[n] += s * (sum([c[n - e] for e in plus]) - sum([c[n - e] for e in minus]))
+
+
+def _div_sparse_inplace(c: list[int], runs, s: int) -> None:
+    # divide by the same series: bottom-up, so every c[n - e] is already new
+    for lo, hi, plus, minus in runs:
+        for n in range(lo, hi):
+            c[n] -= s * (sum([c[n - e] for e in plus]) - sum([c[n - e] for e in minus]))
+
+
+def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
+    """Exact coefficients g(0..N) as a product of sparse series.
+
+    By the Jacobi triple product each factor (q^r, q^{m-r}; q^m)_inf is
+    T_{m,r} / E_m, with T_{m,r} the theta series of :func:`_theta_terms`
+    and E_m = (q^m; q^m)_inf = T_{3m,m} Euler's pentagonal series.  Both
+    have O(sqrt(N/m)) terms up to q^N, so each unit of |delta_j| costs
+    O(N sqrt(N/m)).  The powers are netted per distinct series first
+    (T_{m,r} = T_{m,m-r}; E_m gets -sum_{m_j = m} delta_j), so powers that
+    cancel, such as the two E_5 of the Rogers-Ramanujan quotient, cost
+    nothing.  Each remaining power multiplies (> 0) or divides (< 0).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
+    powers: dict[tuple[int, int], int] = {}
+    for m, r, d in zip(spec.m, spec.r, spec.delta):
+        for key, p in (((m, min(r, m - r)), d), ((3 * m, m), -d)):
+            powers[key] = powers.get(key, 0) + p
     c = [0] * (N + 1)
     c[0] = 1
-    for m, r, d in zip(spec.m, spec.r, spec.delta):
-        op = _mul_factor_inplace if d > 0 else _div_factor_inplace
-        for a in (r, m - r):
-            for e in range(a, N + 1, m):
-                for _ in range(abs(d)):
-                    op(c, e)
+    for (m, r), d in powers.items():
+        terms = _theta_terms(m, r, N)
+        if not d or not terms:
+            continue
+        runs = _sign_runs(terms, N)
+        s = abs(terms[0][1])    # every |t| is 1, or 2 when 2r = m
+        op = _mul_sparse_inplace if d > 0 else _div_sparse_inplace
+        for _ in range(abs(d)):
+            op(c, runs, s)
     return CoeffSeries(c)
 
 

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from qprodasym import (NoMajorArcsError, ProductSpec, classify_arcs, compare,
-                       dominant_levels, expand_spec, leading_profile,
-                       sign_check)
+from qprodasym import (HypothesisError, NoMajorArcsError, ProductSpec,
+                       analysis, classify_arcs, compare, dominant_levels,
+                       expand_spec, leading_profile, sign_check)
 from qprodasym.analysis import compare_to_csv, compare_to_json
 
 from conftest import P5, RR, TG
@@ -134,6 +134,14 @@ class TestCompare:
             compare(P5, [50], series=expand_spec(P5, 10))
         with pytest.raises(ValueError):
             compare(P5, [0])
+
+    def test_range_checked_before_expansion(self, monkeypatch):
+        # an out-of-range n fails at once, not after expanding to max(n)
+        def expand(spec, N):
+            pytest.fail(f"expanded to N = {N} before checking every n")
+        monkeypatch.setattr(analysis, "expand_spec", expand)
+        with pytest.raises(HypothesisError):
+            compare(P5, [10**6, 0])
 
     def test_csv_and_json_output(self):
         rows = compare(P5, [100, 200])

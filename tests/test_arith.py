@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qprodasym.arith import (FareyPair, coprime_residues, dedekind_sum,
-                             dedekind_sum_fast, gcd0, hbar, lcm_all, sawtooth)
+from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum_fast,
+                             gcd0, hbar, lcm_all, sawtooth)
 
 
 class TestGcd0:
@@ -134,20 +134,6 @@ class TestDedekindSum:
         ds = [d for d in range(c) if math.gcd(d, c) == 1]
         d = ds[seed % len(ds)]
         assert dedekind_sum_fast(d, c) == dedekind_sum(d, c)
-
-
-class TestFareyPair:
-    def test_valid(self):
-        assert FareyPair(0, 1).k == 1
-        assert FareyPair(3, 7).h == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            FareyPair(2, 4)
-        with pytest.raises(ValueError):
-            FareyPair(5, 5)
-        with pytest.raises(ValueError):
-            FareyPair(0, 2)
 
 
 class TestCoprimeResidues:

@@ -115,6 +115,13 @@ class TestCompare:
         rel = abs(float(lines[2].split(",")[-1]))
         assert rel < 1e-6
 
+    def test_n_out_of_range_exit_code(self, capsys):
+        # same exit code as asym for an n outside n > -Omega/24
+        code, out, err = run(capsys, "compare", "5:1:-1", "--n-list", "0")
+        assert code == 2
+        assert out == ""
+        assert "hypothesis" in err.lower()
+
 
 class TestAnalyze:
     def test_vanishing_residue_reported(self, capsys):

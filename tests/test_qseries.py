@@ -1,5 +1,6 @@
-"""Exact expansion engine: factor application, the stride expander against
-the independent convolution/Newton oracle, and serialization round-trips.
+"""Exact expansion engine: factor application, the sparse triple-product
+kernels, the expander against the independent convolution/Newton oracle
+and the stride route, and serialization round-trips.
 """
 
 import io
@@ -11,8 +12,29 @@ from hypothesis import given, settings, strategies as st
 from qprodasym import (CoeffSeries, ProductSpec, apply_factor, expand_spec,
                        oracle_expand, series_from_json, series_to_csv,
                        series_to_json)
+from qprodasym.qseries import _pochhammer_poly, _poly_mul, _theta_terms
 
 from conftest import P5, RR, TG, random_spec
+
+
+def _dense(terms, N):
+    """1 + sum t q^e as a dense coefficient list of length N + 1."""
+    c = [1] + [0] * N
+    for e, t in terms:
+        c[e] += t
+    return c
+
+
+def _stride_expand(spec, N):
+    """The product as binomials (1 - q^e), each applied |delta| times."""
+    s = CoeffSeries((1,) + (0,) * N)
+    for m, r, d in zip(spec.m, spec.r, spec.delta):
+        direction = "multiply" if d > 0 else "divide"
+        for a in (r, m - r):
+            for e in range(a, N + 1, m):
+                for _ in range(abs(d)):
+                    s = apply_factor(s, e, direction)
+    return s
 
 
 class TestProductSpec:
@@ -75,6 +97,37 @@ class TestApplyFactor:
             apply_factor(s, 1, "conjugate")
 
 
+class TestSparseSeries:
+    N = 300
+
+    def test_euler_is_pochhammer(self):
+        for m in range(1, 13):
+            euler = _dense(_theta_terms(3 * m, m, self.N), self.N)
+            assert euler == _pochhammer_poly(m, m, self.N)
+
+    def test_triple_product(self):
+        for m in range(2, 13):
+            euler = _pochhammer_poly(m, m, self.N)
+            for r in range(1, m):
+                pair = _poly_mul(_pochhammer_poly(r, m, self.N),
+                                 _pochhammer_poly(m - r, m, self.N), self.N)
+                theta = _dense(_theta_terms(m, r, self.N), self.N)
+                assert theta == _poly_mul(pair, euler, self.N), (m, r)
+
+    def test_terms_sorted_and_merged_when_2r_equals_m(self):
+        for m, r in ((5, 1), (6, 3), (12, 6), (12, 5)):
+            terms = _theta_terms(m, r, self.N)
+            exps = [e for e, _ in terms]
+            assert exps == sorted(set(exps)) and exps[-1] <= self.N
+            merged = {abs(t) for _, t in terms}
+            assert merged == ({2} if 2 * r == m else {1})
+
+    def test_truncation_keeps_only_terms_up_to_n(self):
+        assert _theta_terms(5, 1, 0) == []
+        assert _theta_terms(5, 1, 3) == [(1, -1)]
+        assert _theta_terms(50, 3, 60) == [(3, -1), (47, -1), (56, 1)]
+
+
 class TestExpandSpec:
     def test_pure_product_small(self):
         # (q, q^4; q^5)_inf = 1 - q - q^4 + q^5 + ... to low order
@@ -115,6 +168,31 @@ class TestExpandSpec:
         spec = random_spec(rng)
         n = data.draw(st.integers(0, 80))
         assert expand_spec(spec, n).coeffs == oracle_expand(spec, n).coeffs
+
+    def test_matches_stride_route(self):
+        rng = random.Random(1500)
+        specs = [
+            ProductSpec((6, 8), (3, 4), (-2, 1)),        # 2r = m
+            ProductSpec((7, 7), (2, 3), (1, -1)),        # Euler powers cancel
+            ProductSpec((15, 5), (5, 1), (1, 1)),        # T_{15,5} = E_5 cancels
+            ProductSpec((7, 7, 9), (2, 5, 4), (2, -2, -1)),  # T_{7,2} = T_{7,5}
+        ] + [random_spec(rng, max_j=3, max_delta=2) for _ in range(6)]
+        for spec in specs:
+            N = rng.randint(1400, 1600)
+            assert expand_spec(spec, N).coeffs == _stride_expand(spec, N).coeffs, spec
+
+    @pytest.mark.parametrize("spec,N", [
+        (TG, 0),                                          # N = 0
+        (ProductSpec((20, 30), (7, 9), (2, -3)), 6),      # N < every r_j
+        (ProductSpec((50, 9), (3, 4), (-2, 1)), 40),      # m_j > N
+        (ProductSpec((40, 41), (20, 1), (-1, 2)), 30),    # 2r = m > N
+    ])
+    def test_edge_orders(self, spec, N):
+        s = expand_spec(spec, N)
+        assert s.coeffs == oracle_expand(spec, N).coeffs
+        assert s.coeffs == _stride_expand(spec, N).coeffs
+        if N < min(spec.r):
+            assert s.coeffs == (1,) + (0,) * N
 
 
 class TestSerialization:
