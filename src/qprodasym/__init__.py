@@ -1,7 +1,8 @@
 """Exact expansion and Bessel-series asymptotics for infinite products of
 shifted q-Pochhammer pairs (q^r, q^{m-r}; q^m)_inf^delta."""
 
-from .arith import dedekind_sum, dedekind_sum_fast, gcd0, hbar, lcm_all
+from .arith import (dedekind_sum, dedekind_sum6, dedekind_sum_fast, gcd0, hbar,
+                    lcm_all)
 from .asymptotics import (ArcClass, ArcDatum, HypothesisError, LogComplex,
                           PhaseExponent, arc_datum, bessel_I_minus1,
                           check_assumption, classify_arcs, default_K,
@@ -23,7 +24,7 @@ __all__ = [
     "ProductSpec", "ResidueVerdict", "apply_factor", "arc_datum",
     "bessel_I_minus1", "build_gamma", "check_assumption",
     "check_main_transform", "chi", "classify_arcs", "compare", "default_K",
-    "dedekind_sum", "dedekind_sum_fast", "delta_arc", "dominant_levels",
+    "dedekind_sum", "dedekind_sum6", "dedekind_sum_fast", "delta_arc", "dominant_levels",
     "eval_Zh", "eval_eta", "eval_theta", "expand_spec", "g_asymptotic",
     "g_asymptotic_members",
     "gcd0", "hbar", "lambda_int", "lambda_star", "lcm_all",

@@ -37,6 +37,11 @@ class DoubleBackend:
         return float(x)
 
     @staticmethod
+    def ratio(num: int, den: int):
+        """num/den as a backend real; int/int division rounds correctly."""
+        return num / den
+
+    @staticmethod
     def complex_(re, im=0.0):
         return complex(re, im)
 
@@ -74,6 +79,9 @@ class ExtendedBackend:
         if isinstance(x, Fraction):
             return self.mp.mpf(x.numerator) / x.denominator
         return self.mp.mpf(x)
+
+    def ratio(self, num: int, den: int):
+        return self.mp.mpf(num) / den
 
     def complex_(self, re, im=0):
         return self.mp.mpc(re, im)

@@ -16,7 +16,8 @@ from typing import IO, Sequence
 from ._backend import get_backend
 from .arith import coprime_residues, lcm_all
 from .asymptotics import (HypothesisError, PhaseExponent, _h_sum,
-                          classify_arcs, delta_arc, g_asymptotic, omega_big)
+                          _require_assumption, classify_arcs, g_asymptotic,
+                          omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -95,8 +96,10 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
     Sums the h-sums of all members at the largest sqrt(Delta)/k value; the
     resulting amplitude is periodic in n.  If every residue cancels, the
     next level is examined, down to `depth` levels; exhausting them yields
-    an inconclusive verdict.
+    an inconclusive verdict.  Raises HypothesisError where the hypothesis
+    inequality fails, as the asymptotic formula does not hold there.
     """
+    _require_assumption(spec)
     backend = get_backend(precision)
     levels = dominant_levels(spec, depth)
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))

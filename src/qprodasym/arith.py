@@ -1,9 +1,10 @@
 """Exact integer and rational number-theoretic primitives.
 
 Everything here is computed in exact arithmetic (Python integers and
-``fractions.Fraction``); no floating point enters this module.  These
-primitives carry the phase bookkeeping for the rest of the package, where
-exact cancellation matters.
+``fractions.Fraction``); no floating point enters this module.  The
+integer Dedekind sum :func:`dedekind_sum6` (6c s(d, c), an integer)
+carries the phase bookkeeping of the main sum, which therefore needs no
+``Fraction``; the rational forms remain for the public API and as oracles.
 """
 
 from __future__ import annotations
@@ -95,6 +96,30 @@ def dedekind_sum_fast(d: int, c: int) -> Fraction:
         sign = -sign
         c, d = d, c % d
     return result
+
+
+def dedekind_sum6(d: int, c: int) -> int:
+    """The integer 6c * s(d, c), computed without rationals.
+
+    Agrees exactly with ``6 * c * dedekind_sum(d, c)``.  Reciprocity
+    multiplied through by 12cd reads
+    2d * S(d, c) + 2c * S(c, d) = d^2 + c^2 + 1 - 3cd  for S(d, c) = 6c s(d, c),
+    so S(d, c) follows from S(c mod d, d) by one exact integer division;
+    the Euclidean chain ends at S(0, 1) = 0.
+    """
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+    if math.gcd(d, c) != 1:
+        raise ValueError("need gcd(d, c) = 1")
+    d %= c
+    chain = []
+    while d:
+        chain.append((d, c))
+        c, d = d, c % d
+    S = 0
+    for d, c in reversed(chain):
+        S = (d * d + c * c + 1 - 3 * c * d - 2 * c * S) // (2 * d)
+    return S
 
 
 def coprime_residues(k: int, kappa: int | None = None,

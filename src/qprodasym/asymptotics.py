@@ -3,22 +3,20 @@
 Covers the auxiliary arc quantities (ceiling offsets, fractional
 complements, modular inverses, quadratic growth exponents), the residue
 classification of Farey arcs, the hypothesis inequality, exact phase
-assembly, modified Bessel evaluation in log space, and the truncated
-main-term sum itself.
+assembly (integer numerators over one denominator per arc), modified
+Bessel evaluation in log space, and the truncated main-term sum itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from ._backend import DOUBLE, get_backend
-from .arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
+from .arith import coprime_residues, dedekind_sum6, gcd0, hbar
 from .qseries import ProductSpec
 
 
@@ -136,9 +134,27 @@ class PhaseExponent:
         return PhaseExponent.of(self.t + other.t)
 
     def to_complex(self, backend=DOUBLE):
-        # reduce to (-1, 1] before exponentiating to keep the argument small
-        t = self.t if self.t <= 1 else self.t - 2
-        return backend.exp(backend.j * backend.pi * backend.real(t))
+        return _unit(self.t.numerator, self.t.denominator, backend)
+
+
+def _unit(num: int, den: int, backend=DOUBLE):
+    """e^{i pi num/den}; num/den is reduced to (-1, 1] before exponentiating
+    to keep the argument small, and converted by one rounded division."""
+    num %= 2 * den
+    if num > den:
+        num -= 2 * den
+    return backend.exp(backend.j * backend.pi * backend.ratio(num, den))
+
+
+def _pi_value(factors, backend=DOUBLE):
+    """Pi_{h,k} from its (x numerator, x denominator, delta) factors 1 - e^{2 pi i x}."""
+    value = backend.complex_(1)
+    for x, den, d in factors:
+        f = 1 - backend.exp(2 * backend.j * backend.pi * backend.ratio(x, den))
+        if f == 0:
+            raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
+        value *= f ** d
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,71 +171,81 @@ class ArcDatum:
 
     def pi_value(self, backend=DOUBLE):
         """Pi_{h,k} as a complex number; each factor is 1 - e^{2 pi i x}."""
-        value = backend.complex_(1)
-        for x, d in self.pi_exponents:
-            f = 1 - backend.exp(2 * backend.j * backend.pi * backend.real(x))
-            if f == 0:
-                raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
-            value *= f ** d
-        return value
+        return _pi_value(tuple((x.numerator, x.denominator, d)
+                               for x, d in self.pi_exponents), backend)
 
 
-def _omega_exponent(spec: ProductSpec, h: int, k: int) -> Fraction:
-    # omega_{h,k} = exp(-pi i sum_j delta_j s(m_j h / d_j, k / d_j))
-    total = Fraction(0)
-    for m, d in zip(spec.m, spec.delta):
+def _arc_phase(spec: ProductSpec, h: int, k: int,
+               hbars: tuple[int, ...] | None = None):
+    """Integer form of one arc's combined phase and of its Pi factors.
+
+    Returns (num, pi).  The phase exponent is num / D (mod 2) with
+    D = 3 L k and 0 <= num < 2D: the parity term sum_j delta_j lambda_j,
+    twice the omega exponent and the D exponent are each an integer over
+    D, because m_j | L and 6c s(d, c) is an integer.  `pi` lists each
+    factor 1 - e^{2 pi i x} of Pi as (x numerator in (0, m_j k), m_j k,
+    delta_j).  `hbars`, when given, replaces the canonical modular inverses
+    and is validated.
+    """
+    L = spec.L
+    D = 3 * L * k
+    num = 0
+    pi = []
+    for j, (m, r, d) in enumerate(zip(spec.m, spec.r, spec.delta)):
         g = gcd0(m, k)
-        total += d * dedekind_sum_fast((m // g) * h, k // g)
-    return -total
+        kp = k // g
+        lam = -((-r * h) // g)
+        if hbars is None:
+            hb = hbar(m, h, k)
+        else:
+            hb = hbars[j]
+            if (hb * (m // g) * h + 1) % kp != 0:
+                raise ValueError(f"invalid hbar override for factor {j}")
+        a = 3 * L // m
+        gls = g * lam - r * h                   # g * lambda*, in [0, g)
+        # D times: lambda (the parity term), then the D exponent
+        # r h/k - r g/(m k) + 2 r g lambda*/(m k) + hbar g (lambda^2 - lambda)/k,
+        # then twice the omega exponent, -2 s(m h/g, k/g) = -L g S / D with
+        # S = 6 (k/g) s(m h/g, k/g)
+        num += d * (lam * D + 3 * L * r * h - a * r * g + 2 * a * r * gls
+                    + 3 * L * hb * g * (lam * lam - lam)
+                    - L * g * dedekind_sum6((m // g) * h, kp))
+        if gls == 0:
+            x = (r * g + r * hb * m * h) % (m * k)
+            if x == 0:
+                raise AssertionError("Pi exponent is an integer; contradicts arc preconditions")
+            pi.append((x, m * k, d))
+    return num % (2 * D), tuple(pi)
+
+
+@lru_cache(maxsize=None)
+def _arc_kernel(spec: ProductSpec, h: int, k: int):
+    """Cached :func:`_arc_phase` at the canonical modular inverses."""
+    return _arc_phase(spec, h, k)
 
 
 def arc_datum(spec: ProductSpec, h: int, k: int,
               hbars: tuple[int, ...] | None = None) -> ArcDatum:
     """Assemble lambda/hbar data and the exact combined phase for one arc.
 
-    The phase exponent accumulates, as exact rationals mod 2, the parity
-    term sum_j delta_j lambda_j, twice the omega exponent, and the D
-    exponent; Pi is kept as exact exponents of its 1 - e^{2 pi i x} factors.
+    The phase exponent combines, exactly and mod 2, the parity term
+    sum_j delta_j lambda_j, twice the omega exponent, and the D exponent;
+    Pi is kept as exact exponents of its 1 - e^{2 pi i x} factors.  Both
+    are the rational forms of the integer data of the main sum.
 
     `hbars`, when given, overrides the canonical modular inverses; any
     valid choice (shifts by multiples of k/gcd(m_j, k)) leaves the phase
     and Pi unchanged.
     """
-    given = hbars
-    lambdas = []
-    stars = []
-    hbars = []
-    t = Fraction(0)
-    pi_factors: list[tuple[Fraction, int]] = []
-    for j, (m, r, d) in enumerate(zip(spec.m, spec.r, spec.delta)):
-        g = gcd0(m, k)
-        lam = lambda_int(m, r, h, k)
-        ls = lam - Fraction(r * h, g)
-        hb = given[j] if given is not None else hbar(m, h, k)
-        if (hb * (m // g) * h + 1) % (k // g) != 0:
-            raise ValueError(f"invalid hbar override for factor {j}")
-        lambdas.append(lam)
-        stars.append(ls)
-        hbars.append(hb)
-        # (-1)^{delta * lambda}
-        t += d * lam
-        # D exponent contribution
-        t += d * (Fraction(r * h, k) - Fraction(r * g, m * k)
-                  + 2 * Fraction(r * g, m * k) * ls
-                  + Fraction(hb * g, k) * (lam * lam - lam))
-        if ls == 0:
-            x = Fraction(r * g + r * hb * m * h, m * k) % 1
-            if x == 0:
-                raise AssertionError("Pi exponent is an integer; contradicts arc preconditions")
-            pi_factors.append((x, d))
-    t += 2 * _omega_exponent(spec, h, k)
-    return ArcDatum(h, k, tuple(lambdas), tuple(stars), tuple(hbars),
-                    PhaseExponent.of(t), tuple(pi_factors))
-
-
-@lru_cache(maxsize=None)
-def _arc_datum_cached(spec: ProductSpec, h: int, k: int) -> ArcDatum:
-    return arc_datum(spec, h, k)
+    if hbars is None:
+        hbars = tuple(hbar(m, h, k) for m in spec.m)
+    num, pi = _arc_phase(spec, h, k, tuple(hbars))
+    return ArcDatum(h, k,
+                    tuple(lambda_int(m, r, h, k) for m, r in zip(spec.m, spec.r)),
+                    tuple(lambda_star(m, r, h, k) for m, r in zip(spec.m, spec.r)),
+                    tuple(hbars),
+                    PhaseExponent(Fraction(num, 3 * spec.L * k)),
+                    tuple((Fraction(x, den), d) for x, den, d in pi))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +372,17 @@ def default_K(spec: ProductSpec, n: int) -> int:
 
 
 def _h_sum(spec: ProductSpec, n: int, kappa: int, ell: int, k: int, backend):
-    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
+    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}.
+
+    The exponent stays an integer over D = 3 L k, where -2 n h / k is
+    -6 L n h; it is converted to a float once per term.
+    """
+    D = 3 * spec.L * k
+    step = 6 * spec.L * n
     total = backend.complex_(0)
     for h in coprime_residues(k, kappa, ell):
-        datum = _arc_datum_cached(spec, h, k)
-        t = PhaseExponent.of(datum.phase.t + Fraction(-2 * n * h, k))
-        total += t.to_complex(backend) * datum.pi_value(backend)
+        num, pi = _arc_kernel(spec, h, k)
+        total += _unit(num - step * h, D, backend) * _pi_value(pi, backend)
     return total
 
 
@@ -362,28 +393,35 @@ def _positive_classes(spec: ProductSpec) -> dict[int, list[ArcClass]]:
     return by_ell
 
 
-def _require_hypotheses(spec: ProductSpec, n: int) -> Fraction:
+def _require_range(spec: ProductSpec, n: int) -> Fraction:
     omega = omega_big(spec)
     if Fraction(n) <= -omega / 24:
         raise HypothesisError(f"need n > -Omega/24 = {-omega / 24}")
+    return omega
+
+
+def _require_assumption(spec: ProductSpec) -> None:
     ok, violations = check_assumption(spec)
     if not ok:
         raise HypothesisError(f"hypothesis inequality fails at classes {violations}")
-    return omega
 
 
 def g_asymptotic_members(spec: ProductSpec, n: int,
                          members: list[tuple[int, int, int]],
                          precision: str = "double") -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples."""
-    omega = _require_hypotheses(spec, n)
+    omega = _require_range(spec, n)
+    _require_assumption(spec)
     backend = get_backend(precision)
+    deltas: dict[tuple[int, int], Fraction] = {}
     terms = []
     w = float(24 * n + omega)
     for kappa, ell, k in members:
-        dv = delta_arc(spec, kappa, ell)
-        if dv <= 0:
-            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
+        dv = deltas.get((kappa, ell))
+        if dv is None:
+            dv = deltas[kappa, ell] = delta_arc(spec, kappa, ell)
+            if dv <= 0:
+                raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
         hs = backend.to_complex(_h_sum(spec, n, kappa, ell, k, backend))
         if hs == 0:
             continue
@@ -398,14 +436,18 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
 
 
 def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
-                 precision: str = "double", threads: int | None = None) -> LogComplex:
+                 precision: str = "double") -> LogComplex:
     """Truncated Bessel-series approximation of g(n).
 
     Sums over every major-arc class and every k <= K congruent to the
-    class level mod L, with K defaulting to :func:`default_K`.  The result
-    is a LogComplex whose imaginary part is pure numerical noise.
+    class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
+    result is a LogComplex whose imaginary part is pure numerical noise.
+    The arcs are classified once here; :func:`g_asymptotic_members`
+    checks the hypothesis inequality once.
     """
-    _require_hypotheses(spec, n)
+    if K is not None and K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    _require_range(spec, n)
     if K is None:
         K = default_K(spec, n)
     by_ell = _positive_classes(spec)
@@ -415,12 +457,4 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
         ell = (k - 1) % L + 1
         for cls in by_ell.get(ell, ()):
             members.append((cls.kappa, cls.ell, k))
-    if threads is None:
-        threads = int(os.environ.get("QPRODASYM_THREADS", "1"))
-    if threads > 1 and len(members) > 1:
-        chunks = [members[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ms: g_asymptotic_members(spec, n, ms, precision), chunks))
-        return logc_sum([p for p in parts])
     return g_asymptotic_members(spec, n, members, precision)

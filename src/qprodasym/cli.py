@@ -177,6 +177,8 @@ def cmd_signs(args) -> int:
 
 def cmd_transform_test(args) -> int:
     spec = parse_spec(args.spec)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._backend import DOUBLE, get_backend
 from .arith import dedekind_sum_fast, gcd0, hbar
 from .asymptotics import (PhaseExponent, lambda_int, lambda_star, omega_big,
-                          _arc_datum_cached)
+                          _arc_kernel, _unit)
 from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
@@ -181,9 +181,10 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     for m, r, d in zip(spec.m, spec.r, spec.delta):
         lhs *= eval_Zh(r, m, tau, terms, precision) ** d
 
-    datum = _arc_datum_cached(spec, h, k)
-    front = PhaseExponent.of(datum.phase.t + Fraction(sum(spec.delta), 2))
-    rhs = front.to_complex(B)
+    # the arc phase num / D and the front factor e^{pi i sum(delta)/2}, over 2D
+    num, _ = _arc_kernel(spec, h, k)
+    D = 3 * spec.L * k
+    rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
     omega = omega_big(spec)
     dv = _delta_hk(spec, h, k)
     rhs *= B.exp(B.pi / (12 * k) * (B.real(omega) * z + B.real(dv) / z))

@@ -66,6 +66,11 @@ class TestDominantLevels:
 
 
 class TestLeadingProfile:
+    def test_hypothesis_failure(self):
+        # the inequality fails at (2, 6) and (4, 6); no sign profile is given
+        with pytest.raises(HypothesisError):
+            leading_profile(ProductSpec((3, 6), (1, 3), (1, -2)))
+
     def test_constant_positive_profile(self):
         # 1/(q, q^4; q^5): the (0,1,1) amplitude is csc(pi/5)/2, n-independent
         verdict = leading_profile(P5)

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum_fast,
-                             gcd0, hbar, lcm_all, sawtooth)
+from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum6,
+                             dedekind_sum_fast, gcd0, hbar, lcm_all, sawtooth)
 
 
 class TestGcd0:
@@ -134,6 +134,41 @@ class TestDedekindSum:
         ds = [d for d in range(c) if math.gcd(d, c) == 1]
         d = ds[seed % len(ds)]
         assert dedekind_sum_fast(d, c) == dedekind_sum(d, c)
+
+
+class TestDedekindSum6:
+    def test_matches_direct_sum(self):
+        # every coprime pair with c <= 60 against the rational direct sum
+        for c in range(1, 61):
+            for d in range(c):
+                if math.gcd(d, c) == 1:
+                    assert dedekind_sum6(d, c) == 6 * c * dedekind_sum(d, c)
+
+    def test_matches_integer_sawtooth_sum(self):
+        # every coprime pair with c <= 200: 4c^2 s(d, c) is the integer
+        # sum over 0 < n < c of (2 (dn mod c) - c)(2n - c), so
+        # 2c * (6c s) = 3 * that sum; checked also against the rational
+        # reciprocity recursion
+        for c in range(1, 201):
+            for d in range(c):
+                if math.gcd(d, c) != 1:
+                    continue
+                direct = sum((2 * (d * n % c) - c) * (2 * n - c) for n in range(1, c))
+                s6 = dedekind_sum6(d, c)
+                assert 2 * c * s6 == 3 * direct
+                assert s6 == 6 * c * dedekind_sum_fast(d, c)
+
+    def test_any_representative(self):
+        for c in (1, 7, 12, 60):
+            for d in range(-2 * c, 2 * c):
+                if math.gcd(d, c) == 1:
+                    assert dedekind_sum6(d, c) == 6 * c * dedekind_sum_fast(d, c)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            dedekind_sum6(2, 4)
+        with pytest.raises(ValueError):
+            dedekind_sum6(1, 0)
 
 
 class TestCoprimeResidues:

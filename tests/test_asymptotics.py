@@ -14,9 +14,12 @@ from qprodasym import (HypothesisError, LogComplex, PhaseExponent, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
                        classify_arcs, default_K, delta_arc, expand_spec,
                        g_asymptotic, lambda_int, lambda_star, omega_big)
-from qprodasym.arith import coprime_residues, gcd0
+from qprodasym import asymptotics
+from qprodasym._backend import DOUBLE
+from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum, upsilon,
-                                   _bessel_i1_asym_log, _bessel_i1_series_log)
+                                   _arc_kernel, _bessel_i1_asym_log,
+                                   _bessel_i1_series_log, _h_sum)
 
 from conftest import P5, RR, TG, random_farey, random_spec
 
@@ -152,6 +155,83 @@ class TestArcDatum:
             arc_datum(TG, 3, 7, hbars=tuple(hb + 1 for hb in base.hbars))
 
 
+def fraction_arc_datum(spec, h, k, hbars=None):
+    """Oracle: the per-arc phase and Pi assembled term by term in Fraction."""
+    given = hbars
+    lambdas, stars, hbars = [], [], []
+    t = Fraction(0)
+    pi_factors = []
+    for j, (m, r, d) in enumerate(zip(spec.m, spec.r, spec.delta)):
+        g = gcd0(m, k)
+        lam = lambda_int(m, r, h, k)
+        ls = lam - Fraction(r * h, g)
+        hb = given[j] if given is not None else hbar(m, h, k)
+        if (hb * (m // g) * h + 1) % (k // g) != 0:
+            raise ValueError(f"invalid hbar override for factor {j}")
+        lambdas.append(lam)
+        stars.append(ls)
+        hbars.append(hb)
+        t += d * lam                      # (-1)^{delta * lambda}
+        t += d * (Fraction(r * h, k) - Fraction(r * g, m * k)
+                  + 2 * Fraction(r * g, m * k) * ls
+                  + Fraction(hb * g, k) * (lam * lam - lam))
+        if ls == 0:
+            x = Fraction(r * g + r * hb * m * h, m * k) % 1
+            if x == 0:
+                raise AssertionError("Pi exponent is an integer")
+            pi_factors.append((x, d))
+    for m, d in zip(spec.m, spec.delta):  # twice the omega exponent
+        g = gcd0(m, k)
+        t -= 2 * d * dedekind_sum_fast((m // g) * h, k // g)
+    return (tuple(lambdas), tuple(stars), tuple(hbars),
+            PhaseExponent.of(t), tuple(pi_factors))
+
+
+class TestArcKernel:
+    def test_matches_fraction_oracle(self):
+        # 600 random arcs with k <= 60, a third of them with shifted hbars
+        rng = random.Random(5)
+        checked = overridden = 0
+        while checked < 600:
+            spec = random_spec(rng, max_j=4, max_m=12)
+            h, k = random_farey(rng, 60)
+            hbars = None
+            if checked % 3 == 0:
+                hbars = tuple(hbar(m, h, k) + rng.randint(-3, 3) * (k // gcd0(m, k))
+                              for m in spec.m)
+                overridden += hbars != tuple(hbar(m, h, k) for m in spec.m)
+            try:
+                expected = fraction_arc_datum(spec, h, k, hbars)
+            except AssertionError:
+                with pytest.raises(AssertionError):
+                    arc_datum(spec, h, k, hbars)
+                continue
+            datum = arc_datum(spec, h, k, hbars)
+            assert (datum.lambdas, datum.lambda_stars, datum.hbars,
+                    datum.phase, datum.pi_exponents) == expected
+            num, pi = _arc_kernel(spec, h, k)
+            assert Fraction(num, 3 * spec.L * k) == expected[3].t
+            assert tuple((Fraction(x, den), d) for x, den, d in pi) == expected[4]
+            checked += 1
+        assert overridden > 100
+
+    def test_h_sum_builds_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        _arc_kernel.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        total = sum(_h_sum(TG, 1468, kappa, ell, k, DOUBLE)
+                    for kappa, ell in TG_POSITIVE for k in range(ell, 61, TG.L))
+        monkeypatch.undo()
+        assert made == []
+        assert total != 0
+
+
 class TestLogComplex:
     def test_roundtrip(self):
         z = 3.5 - 1.25j
@@ -242,11 +322,6 @@ class TestGAsymptotic:
         b = g_asymptotic(RR, 200, precision="extended")
         assert abs(a.log_abs_real() - b.log_abs_real()) < 1e-9
 
-    def test_threads_do_not_change_result(self):
-        a = g_asymptotic(TG, 400)
-        b = g_asymptotic(TG, 400, threads=4)
-        assert abs(a.log_abs_real() - b.log_abs_real()) < 1e-10
-
     def test_members_restriction(self):
         # restricting to all major-arc (kappa, ell, k) with k <= K equals
         # the plain truncated sum
@@ -266,6 +341,28 @@ class TestGAsymptotic:
             g_asymptotic(P5, 0)                       # n <= -Omega/24
         with pytest.raises(HypothesisError):
             g_asymptotic(ProductSpec((2,), (1,), (-13,)), 100)
+
+    def test_hypotheses_checked_once(self, monkeypatch):
+        calls = {"check": 0, "classify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(asymptotics, "check_assumption",
+                            counted("check", asymptotics.check_assumption))
+        monkeypatch.setattr(asymptotics, "classify_arcs",
+                            counted("classify", asymptotics.classify_arcs))
+        asymptotics.g_asymptotic(TG, 400)
+        assert calls == {"check": 1, "classify": 1}
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_rejects_nonpositive_K(self, K):
+        with pytest.raises(ValueError) as exc:
+            g_asymptotic(P5, 100, K=K)
+        assert not isinstance(exc.value, HypothesisError)
 
     def test_non_major_member_rejected(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,33 @@ class TestAsym:
         code, _, err = run(capsys, "asym", "5:1:-1", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_nonpositive_K_exit_code(self, capsys, K):
+        code, out, err = run(capsys, "asym", "5:1:-1", "--n", "100", "--K", K)
+        assert code == 1
+        assert out == ""
+        assert "K must be at least 1" in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("5:1:-1", "--n", "1468"),
+         '{"K":96,"imag_over_real":"0","log_abs":"55.1509515007097",'
+         '"n":1468,"sign":1}'),
+        (("5:1:1", "5:2:-1", "--n", "1468"),
+         '{"K":96,"imag_over_real":"1.22464679914735e-16",'
+         '"log_abs":"33.9611714663368","n":1468,"sign":-1}'),
+        (("5:2:-2", "10:2:1", "10:4:2", "--n", "1468"),
+         '{"K":96,"imag_over_real":"0","log_abs":"37.7816270026885",'
+         '"n":1468,"sign":1}'),
+        (("60:5:-1", "--n", "2610"),
+         '{"K":127,"imag_over_real":"0","log_abs":"18.2734591751286",'
+         '"n":2610,"sign":1}'),
+    ])
+    def test_golden_stdout(self, capsys, argv, expected):
+        # pinned to the output of the Fraction phase assembly, bit for bit
+        code, out, _ = run(capsys, "asym", *argv)
+        assert code == 0
+        assert out == expected + "\n"
+
 
 class TestCompare:
     def test_csv_table(self, capsys):
@@ -138,6 +165,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "2:1:1", "2:1:-1")
         assert code == 2
 
+    def test_hypothesis_failure_exit_code(self, capsys):
+        # the same spec on which asym and compare fail their hypothesis
+        code, out, err = run(capsys, "analyze", "3:1:1", "6:3:-2")
+        assert code == 2
+        assert out == ""
+        assert "(2, 6), (4, 6)" in err
+        assert run(capsys, "asym", "3:1:1", "6:3:-2", "--n", "100")[0] == 2
+
 
 class TestSigns:
     def test_scan(self, capsys):
@@ -163,6 +198,14 @@ class TestTransformTest:
         doc = json.loads(out)
         assert doc["samples"] == 5
         assert float(doc["max_discrepancy"]) < 1e-9
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_rejects_empty_run(self, capsys, samples):
+        code, out, err = run(capsys, "transform-test", "5:1:-1",
+                             "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "--samples must be at least 1" in err
 
 
 class TestExitCodes:
