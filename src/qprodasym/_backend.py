@@ -65,15 +65,15 @@ class ExtendedBackend:
     def __init__(self, dps: int = 40):
         import mpmath
 
-        self.mp = mpmath
-        if mpmath.mp.dps < dps:
-            mpmath.mp.dps = dps
-        self.pi = mpmath.pi
-        self.j = mpmath.mpc(0, 1)
-        self.eps = mpmath.mpf(10) ** (-dps - 5)
-        self.exp = mpmath.exp
-        self.log = mpmath.log
-        self.sqrt = mpmath.sqrt
+        # a private context: the process-global mpmath.mp keeps its precision
+        self.mp = mpmath.MPContext()
+        self.mp.dps = dps
+        self.pi = self.mp.pi
+        self.j = self.mp.mpc(0, 1)
+        self.eps = self.mp.mpf(10) ** (-dps - 5)
+        self.exp = self.mp.exp
+        self.log = self.mp.log
+        self.sqrt = self.mp.sqrt
 
     def real(self, x):
         if isinstance(x, Fraction):

@@ -126,11 +126,10 @@ def coprime_residues(k: int, kappa: int | None = None,
                      ell: int | None = None) -> Iterator[int]:
     """Yield h in [0, k) with gcd(h, k) = 1, optionally with h = kappa (mod ell).
 
-    Note gcd(0, 1) = 1, so h = 0 is admissible exactly when k = 1.
+    Note gcd(0, 1) = 1, so h = 0 is admissible exactly when k = 1.  With
+    a residue filter, 0 <= kappa < ell, only the h = kappa (mod ell) are
+    visited, in increasing order.
     """
-    for h in range(k):
-        if math.gcd(h, k) != 1:
-            continue
-        if kappa is not None and h % ell != kappa:
-            continue
-        yield h
+    for h in range(k) if kappa is None else range(kappa, k, ell):
+        if math.gcd(h, k) == 1:
+            yield h

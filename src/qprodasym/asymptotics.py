@@ -50,16 +50,21 @@ def omega_big(spec: ProductSpec) -> Fraction:
 
 
 def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
-    """Exact arc exponent Delta(kappa, ell); positive on major arcs."""
+    """Exact arc exponent Delta(kappa, ell); positive on major arcs.
+
+    Delta = -sum_j delta_j (2 g^2 + 12 g^2 (lambda*^2 - lambda*)) / m_j with
+    g = gcd(m_j, ell).  Since g lambda*_j = (-r_j kappa) mod g = a, each
+    term is the integer 2 g^2 + 12 a (a - g) over m_j, a divisor of L.
+    """
     if not 0 <= kappa < ell:
         raise ValueError("need 0 <= kappa < ell")
-    total = Fraction(0)
+    L = spec.L
+    num = 0
     for m, r, d in zip(spec.m, spec.r, spec.delta):
         g = gcd0(m, ell)
-        ls = lambda_star(m, r, kappa, ell) if kappa else Fraction(0)
-        total += d * (Fraction(2 * g * g, m)
-                      + Fraction(12 * g * g, m) * (ls * ls - ls))
-    return -total
+        a = -r * kappa % g
+        num += d * (L // m) * (2 * g * g + 12 * a * (a - g))
+    return Fraction(-num, L)
 
 
 def upsilon(x: Fraction) -> Fraction:
@@ -82,18 +87,55 @@ class ArcClass:
     delta_value: Fraction
 
 
+def _hypothesis_bound(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
+    """min_j Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j, exactly.
+
+    With g = gcd(m_j, ell) and a = g lambda*_j, the j-th value is g^2 / m_j
+    at a = 0 and g min(a, g - a) / m_j otherwise.
+    """
+    L = spec.L
+    values = []
+    for m, r in zip(spec.m, spec.r):
+        g = gcd0(m, ell)
+        a = -r * kappa % g
+        values.append((L // m) * g * (min(a, g - a) if a else g))
+    return Fraction(min(values), L)
+
+
+def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[Fraction, Fraction]]]:
+    """Delta and the hypothesis bound on the sigma(L) divisor cells of L.
+
+    Both depend on a class (kappa, ell) only through D = gcd(ell, L) and
+    kappa mod D: m_j | L gives gcd(m_j, ell) = gcd(m_j, D), and lambda*_j
+    depends on kappa mod gcd(m_j, ell), a divisor of D.  So
+    table[D][c] = (Delta(c, D), bound(c, D)) for 0 <= c < D stands for
+    every class with gcd(ell, L) = D and kappa = c (mod D).
+    """
+    return {D: [(delta_arc(spec, c, D), _hypothesis_bound(spec, c, D))
+                for c in range(D)]
+            for D in range(1, spec.L + 1) if spec.L % D == 0}
+
+
 def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     """Partition {(kappa, ell) : 1 <= ell <= L, 0 <= kappa < ell} by sign of Delta.
 
-    Returns (positive, nonpositive); ties Delta = 0 go to the nonpositive set.
+    Returns (positive, nonpositive), each ordered by ell, then kappa; ties
+    Delta = 0 go to the nonpositive set.  Delta is read off the divisor
+    cells of :func:`_arc_table`.
     """
+    table = _arc_table(spec)
+    L = spec.L
     positive: list[ArcClass] = []
     nonpositive: list[ArcClass] = []
-    for ell in range(1, spec.L + 1):
+    # per cell, Delta and the list its classes go to
+    targets = {D: [(dv, positive if dv > 0 else nonpositive) for dv, _ in cells]
+               for D, cells in table.items()}
+    for ell in range(1, L + 1):
+        cells = targets[math.gcd(ell, L)]
+        D = len(cells)
         for kappa in range(ell):
-            dv = delta_arc(spec, kappa, ell)
-            cls = ArcClass(kappa, ell, dv)
-            (positive if dv > 0 else nonpositive).append(cls)
+            dv, target = cells[kappa % D]
+            target.append(ArcClass(kappa, ell, dv))
     return positive, nonpositive
 
 
@@ -102,17 +144,20 @@ def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
 
     For each (kappa, ell) the minimum over j of
     Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j must be at least
-    Delta(kappa, ell) / 24.  Returns (ok, violations).
+    Delta(kappa, ell) / 24.  Returns (ok, violations), the violations
+    ordered by ell, then kappa; each divisor cell of :func:`_arc_table`
+    is checked once.
     """
-    violations: list[tuple[int, int]] = []
-    for ell in range(1, spec.L + 1):
-        for kappa in range(ell):
-            bound = min(
-                upsilon(lambda_star(m, r, kappa, ell)) * Fraction(gcd0(m, ell) ** 2, m)
-                for m, r in zip(spec.m, spec.r)
-            )
-            if bound < delta_arc(spec, kappa, ell) / 24:
-                violations.append((kappa, ell))
+    table = _arc_table(spec)
+    L = spec.L
+    failing = {(D, c) for D, cells in table.items()
+               for c, (dv, bound) in enumerate(cells) if bound < dv / 24}
+    violations = []
+    if failing:
+        for ell in range(1, L + 1):
+            D = math.gcd(ell, L)
+            violations.extend((kappa, ell) for kappa in range(ell)
+                              if (D, kappa % D) in failing)
     return not violations, violations
 
 

@@ -55,22 +55,55 @@ def build_gamma(m: int, h: int, k: int) -> ModularMatrix:
 
 
 def default_terms(min_im: float) -> int:
-    """Truncation length giving a |q|^terms tail below 1e-14."""
+    """Cap on the factors of a product with Im(tau) >= min_im.
+
+    At Im(tau) = min_im the cap leaves |q|^terms = e^{-120 pi}, about
+    1e-164, and it never exceeds 200,000.  It is only a cap: each product
+    stops once its own tail bound is below the backend's eps.
+    """
     return min(_MAX_TERMS, math.ceil(60.0 / min_im))
 
 
+def _tail_start(c, q, B):
+    """(c / (1 - |q|), |q|): after k factors, c |q|^k / (1 - |q|) bounds
+    the log of the factors not yet taken."""
+    absq = B.abs(q)
+    if not absq < 1:
+        raise ValueError("Im(tau) is too small to evaluate the product")
+    return c / (1 - absq), absq
+
+
+def _require_tail(tail, absq, terms: int, B) -> None:
+    """Raise unless the tail bound left after `terms` factors is below eps."""
+    if tail < B.eps:
+        return
+    more = math.ceil(math.log(float(B.eps / tail)) / math.log1p(-float(1 - absq)))
+    raise ValueError(f"the product needs {terms + more} factors for a tail below "
+                     f"{float(B.eps):.0e}, more than the cap of {terms}")
+
+
 def eval_eta(tau, terms: int, precision: str = "double"):
-    """Dedekind eta: q^{1/24} prod_{k<=terms} (1 - q^k), q = e^{2 pi i tau}."""
+    """Dedekind eta: q^{1/24} prod_{k>=1} (1 - q^k), q = e^{2 pi i tau}.
+
+    The product stops once the tail bound |q|^k / (1 - |q|) falls below
+    the backend's eps; `terms` caps the factors, and a ValueError names
+    the count needed when the cap is too small.
+    """
     B = get_backend(precision)
     tau = B.native(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
     q = B.exp(2 * B.j * B.pi * tau)
     value = B.exp(2 * B.j * B.pi * tau / 24)
+    tail, absq = _tail_start(B.abs(q), q, B)
     qk = q
     for _ in range(terms):
+        if tail < B.eps:
+            return value
         value *= 1 - qk
         qk *= q
+        tail *= absq
+    _require_tail(tail, absq, terms, B)
     return value
 
 
@@ -93,8 +126,11 @@ def eval_theta(sigma, tau, terms: int, precision: str = "double"):
 def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     """(zeta, zeta^{-1} q; q)_inf with zeta = e^{2 pi i sigma}, q = e^{2 pi i tau}.
 
-    Converges for 0 <= Im(sigma) < Im(tau); truncated at `terms` factors of
-    each product.
+    Converges for 0 <= Im(sigma) < Im(tau).  The product stops once the
+    bound (|zeta| + |zeta^{-1} q|) |q|^k / (1 - |q|) on the remaining
+    factors falls below the backend's eps; `terms` caps the factors of
+    each product, and a ValueError names the count needed when the cap
+    is too small.
     """
     B = get_backend(precision)
     sigma = B.native(sigma)
@@ -104,11 +140,16 @@ def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     q = B.exp(2 * B.j * B.pi * tau)
     zeta = B.exp(2 * B.j * B.pi * sigma)
     zinv = 1 / zeta
+    tail, absq = _tail_start(B.abs(zeta) + B.abs(zinv * q), q, B)
     value = B.complex_(1)
     qk = B.complex_(1)
     for _ in range(terms):
+        if tail < B.eps:
+            return value
         value *= (1 - zeta * qk) * (1 - zinv * qk * q)
         qk *= q
+        tail *= absq
+    _require_tail(tail, absq, terms, B)
     return value
 
 
@@ -164,6 +205,9 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     The left side evaluates the product G(e^{2 pi i tau}) directly at
     tau = (h + i z)/k; the right side assembles the exact phase, the
     exponential growth factor and the straightened Pochhammer quotients.
+    Each product stops at its own tail bound; `terms` caps them all and
+    defaults to :func:`default_terms` at the smallest Im(tau) among them.
+    A product whose tail cannot be met within the cap raises ValueError.
     """
     if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
         raise ValueError("need a reduced fraction 0 <= h < k")

@@ -183,3 +183,15 @@ class TestCoprimeResidues:
         # h = 0 (mod 5) never coprime to 5 for k = 5
         assert list(coprime_residues(5, 0, 5)) == []
         assert list(coprime_residues(1, 0, 1)) == [0]
+
+    def test_matches_filter_form(self):
+        # striding over kappa, kappa + ell, ... visits exactly the h that
+        # the scan of all of range(k) keeps, in the same order
+        for k in range(1, 201):
+            coprime = [h for h in range(k) if math.gcd(h, k) == 1]
+            for ell in range(1, k + 2):
+                expected = {kappa: [] for kappa in range(ell)}
+                for h in coprime:
+                    expected[h % ell].append(h)
+                for kappa in range(ell):
+                    assert list(coprime_residues(k, kappa, ell)) == expected[kappa]

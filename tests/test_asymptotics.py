@@ -95,6 +95,101 @@ class TestConstants:
         assert (0, 1) in violations
 
 
+def oracle_delta_arc(spec, kappa, ell):
+    """Delta(kappa, ell) assembled term by term in Fraction from lambda*."""
+    total = Fraction(0)
+    for m, r, d in zip(spec.m, spec.r, spec.delta):
+        g = gcd0(m, ell)
+        ls = lambda_star(m, r, kappa, ell)
+        total += d * (Fraction(2 * g * g, m)
+                      + Fraction(12 * g * g, m) * (ls * ls - ls))
+    return -total
+
+
+def oracle_classify_arcs(spec):
+    """The direct O(L^2) classification: Delta on every (kappa, ell)."""
+    positive, nonpositive = [], []
+    for ell in range(1, spec.L + 1):
+        for kappa in range(ell):
+            dv = oracle_delta_arc(spec, kappa, ell)
+            (positive if dv > 0 else nonpositive).append((kappa, ell, dv))
+    return positive, nonpositive
+
+
+def oracle_check_assumption(spec):
+    """The direct O(L^2) hypothesis check on every (kappa, ell)."""
+    violations = []
+    for ell in range(1, spec.L + 1):
+        for kappa in range(ell):
+            bound = min(
+                upsilon(lambda_star(m, r, kappa, ell)) * Fraction(gcd0(m, ell) ** 2, m)
+                for m, r in zip(spec.m, spec.r))
+            if bound < oracle_delta_arc(spec, kappa, ell) / 24:
+                violations.append((kappa, ell))
+    return not violations, violations
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _table_specs():
+    named = [P5, RR, TG, ProductSpec((12,), (5,), (-1,)),
+             ProductSpec((30,), (2,), (-1,)), ProductSpec((60,), (5,), (-1,)),
+             ProductSpec((3, 6), (1, 3), (1, -2))]
+    rng = random.Random(44)
+    drawn = []
+    while len(drawn) < 30:
+        spec = random_spec(rng, max_j=3, max_m=12)
+        if spec.L <= 120:
+            drawn.append(spec)
+    return named + drawn
+
+
+class TestArcTable:
+    """classify_arcs and check_assumption, read off the divisor cells of
+    L, against the direct enumeration of all L(L+1)/2 classes."""
+
+    @pytest.mark.parametrize("spec", _table_specs(), ids=str)
+    def test_matches_enumeration(self, spec):
+        positive, nonpositive = classify_arcs(spec)
+        expected = oracle_classify_arcs(spec)
+        for got, want in zip((positive, nonpositive), expected):
+            assert [(c.kappa, c.ell, c.delta_value) for c in got] == want
+            assert all(type(c.delta_value) is Fraction for c in got)
+        assert check_assumption(spec) == oracle_check_assumption(spec)
+
+    def test_delta_matches_fraction_assembly(self):
+        rng = random.Random(45)
+        for _ in range(2000):
+            spec = random_spec(rng, max_j=4, max_m=30)
+            ell = rng.randint(1, 60)
+            kappa = rng.randrange(ell)
+            assert delta_arc(spec, kappa, ell) == oracle_delta_arc(spec, kappa, ell)
+
+    def test_violating_spec(self):
+        ok, violations = check_assumption(ProductSpec((3, 6), (1, 3), (1, -2)))
+        assert not ok and violations
+
+    @pytest.mark.parametrize("spec", [TG, ProductSpec((60,), (5,), (-1,)),
+                                      ProductSpec((7, 8, 9), (1, 1, 1),
+                                                  (-1, -1, -1))], ids=str)
+    def test_one_delta_per_divisor_cell(self, spec, monkeypatch):
+        calls = []
+        real = asymptotics.delta_arc
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(asymptotics, "delta_arc", counted)
+        classify_arcs(spec)
+        assert len(calls) <= _sigma(spec.L)
+        calls.clear()
+        check_assumption(spec)
+        assert len(calls) <= _sigma(spec.L)
+
+
 class TestDeltaClassInvariance:
     def test_delta_depends_only_on_residue_class(self):
         # Delta(h, k) = Delta(h mod ell, ell) for ell = ((k-1) mod L) + 1

@@ -2,10 +2,13 @@
 and deterministic, machine-readable output.
 """
 
+import hashlib
 import json
 
+import mpmath
 import pytest
 
+from qprodasym import _backend, asymptotics
 from qprodasym.cli import main, parse_spec, SpecParseError
 
 from conftest import RR
@@ -82,6 +85,25 @@ class TestArcs:
         assert "assumption satisfied: True" in out
 
 
+    def test_large_L_reads_divisor_cells(self, capsys, monkeypatch):
+        # L = 504 has 127,260 classes but sigma(504) = 1560 divisor cells;
+        # classify_arcs and check_assumption each build one table
+        calls = []
+        real = asymptotics.delta_arc
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(asymptotics, "delta_arc", counted)
+        code, out, _ = run(capsys, "arcs", "7:1:-1", "8:1:-1", "9:1:-1",
+                           "--format", "json")
+        assert code == 0
+        assert len(calls) <= 2 * 1560
+        # the document of the direct O(L^2) enumeration
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("8c27898b3d7098e6")
+
+
 class TestAsym:
     def test_value_tracks_exact_coefficient(self, capsys):
         import math
@@ -129,6 +151,15 @@ class TestAsym:
         code, out, _ = run(capsys, "asym", *argv)
         assert code == 0
         assert out == expected + "\n"
+
+
+    def test_extended_keeps_global_precision(self, capsys, monkeypatch):
+        monkeypatch.setattr(_backend, "_EXTENDED", None)   # built afresh
+        dps = mpmath.mp.dps
+        code, _, _ = run(capsys, "asym", "5:1:1", "5:2:-1", "--n", "200",
+                         "--precision", "extended")
+        assert code == 0
+        assert mpmath.mp.dps == dps
 
 
 class TestCompare:
@@ -206,6 +237,17 @@ class TestTransformTest:
         assert code == 1
         assert out == ""
         assert "--samples must be at least 1" in err
+
+
+    def test_unmet_tail_exits_one(self, capsys):
+        # a straightened product has Im(tau) = Re(1/z)/(10000 k) for k
+        # prime to 10: its tail needs more factors than the cap, which once
+        # truncated it silently and reported a discrepancy of 1.4e-5
+        code, out, err = run(capsys, "transform-test", "10000:1:1",
+                             "--samples", "3", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert "factors" in err and "cap of 200000" in err
 
 
 class TestExitCodes:

@@ -6,10 +6,12 @@ series truncation and floating-point rounding.
 import cmath
 import math
 import random
+import re
 
 import pytest
 
-from qprodasym import ModularMatrix, build_gamma, check_main_transform, chi
+from qprodasym import (ModularMatrix, ProductSpec, build_gamma,
+                       check_main_transform, chi)
 from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
                                  eval_theta, eval_zh_point,
                                  transformed_arguments)
@@ -87,6 +89,24 @@ class TestEta:
             assert _rel(lhs, rhs) < 1e-10
 
 
+    def test_tail_bound_matches_long_product(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 2))
+            q = cmath.exp(2j * cmath.pi * tau)
+            full = cmath.exp(2j * cmath.pi * tau / 24)
+            for k in range(1, 3001):
+                full *= 1 - q ** k
+            assert _rel(eval_eta(tau, 3000), full) < 1e-15
+
+    def test_cap_too_small_names_count(self):
+        with pytest.raises(ValueError) as exc:
+            eval_eta(0.01j, 100)
+        needed = int(re.search(r"needs (\d+) factors", str(exc.value)).group(1))
+        assert needed > 100
+        eval_eta(0.01j, needed)
+
+
 class TestTheta:
     def test_zero_at_origin(self):
         assert abs(eval_theta(0, 1j, 30)) < 1e-15
@@ -155,6 +175,25 @@ class TestZh:
     def test_large_imaginary_part_tends_to_one(self):
         assert _rel(eval_Zh(1, 5, 8j, 50), 1.0) < 1e-10
 
+    def test_tail_bound_matches_long_product(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 2))
+            sigma = complex(rng.uniform(-1, 1), rng.uniform(0, 0.9) * tau.imag)
+            q = cmath.exp(2j * cmath.pi * tau)
+            zeta = cmath.exp(2j * cmath.pi * sigma)
+            full = 1
+            for k in range(3000):
+                full *= (1 - zeta * q ** k) * (1 - q ** (k + 1) / zeta)
+            assert _rel(eval_zh_point(sigma, tau, 3000), full) < 1e-15
+
+    def test_cap_too_small_names_count(self):
+        with pytest.raises(ValueError) as exc:
+            eval_zh_point(0.001j, 0.01j, 100)
+        needed = int(re.search(r"needs (\d+) factors", str(exc.value)).group(1))
+        assert needed > 100
+        eval_zh_point(0.001j, 0.01j, needed)
+
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             eval_Zh(0, 5, 1j, 10)
@@ -205,6 +244,12 @@ class TestMainTransform:
             h, k = random_farey(rng, 12)
             z = complex(rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2))
             assert check_main_transform(spec, h, k, z) < 1e-9
+
+    def test_unmet_tail_raises(self):
+        # at k = 19 the straightened product has Im(tau) = 1/190000; its
+        # tail needs about a million factors, above the 200,000 cap
+        with pytest.raises(ValueError, match=r"needs \d+ factors"):
+            check_main_transform(ProductSpec((10000,), (1,), (1,)), 1, 19, 1.0)
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
