@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from ._backend import get_backend
-from .arith import coprime_residues, lcm_all
-from .asymptotics import (HypothesisError, PhaseExponent, _h_sum,
-                          _require_assumption, classify_arcs, g_asymptotic,
-                          omega_big)
+from .arith import lcm_all
+from .asymptotics import (HypothesisError, PhaseExponent, _h_terms,
+                          _require_assumption, _sum_terms, classify_arcs,
+                          g_asymptotic, omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -99,22 +99,26 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
     an inconclusive verdict.  Raises HypothesisError where the hypothesis
     inequality fails, as the asymptotic formula does not hold there.
     """
+    if depth < 1:
+        raise ValueError("depth must be positive")
     _require_assumption(spec)
     backend = get_backend(precision)
     levels = dominant_levels(spec, depth)
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
+    L = spec.L
     for idx, level in enumerate(levels):
-        contributing = [(kappa, ell, k) for kappa, ell, k in level.members
-                        if any(True for _ in coprime_residues(k, kappa, ell))]
+        # each member's exact phases and Pi values, shared by all residues n0
+        contributing = [(k, terms) for kappa, ell, k in level.members
+                        if (terms := _h_terms(spec, kappa, ell, k, backend))]
         if not contributing:
             continue
-        P = lcm_all([k for _, _, k in contributing])
+        P = lcm_all([k for k, _ in contributing])
         scale = 0.0
         amps = []
         for n0 in range(P):
             total = backend.complex_(0)
-            for kappa, ell, k in contributing:
-                total += _h_sum(spec, n0, kappa, ell, k, backend)
+            for k, terms in contributing:
+                total += _sum_terms(terms, 6 * L * n0, 3 * L * k, backend)
             value = backend.to_complex(front.to_complex(backend)
                                        * backend.native(total))
             amps.append(value.real)
@@ -148,6 +152,7 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
     for n in n_values:
         if Fraction(n) <= -omega / 24:
             raise HypothesisError(f"n = {n} violates n > -Omega/24")
+    _require_assumption(spec)
     top = max(n_values)
     if series is None:
         series = expand_spec(spec, top)

@@ -2,9 +2,11 @@
 
 Everything here is computed in exact arithmetic (Python integers and
 ``fractions.Fraction``); no floating point enters this module.  The
-integer Dedekind sum :func:`dedekind_sum6` (6c s(d, c), an integer)
-carries the phase bookkeeping of the main sum, which therefore needs no
-``Fraction``; the rational forms remain for the public API and as oracles.
+phase bookkeeping of the main sum needs a modular inverse and the integer
+6c s(d, c) per arc factor; :func:`inverse_dedekind6` gives both from one
+Euclid pass, so no ``Fraction`` is built.  :func:`dedekind_sum6`,
+:func:`hbar` and the rational forms remain for the public API and as
+oracles.
 """
 
 from __future__ import annotations
@@ -120,6 +122,36 @@ def dedekind_sum6(d: int, c: int) -> int:
     for d, c in reversed(chain):
         S = (d * d + c * c + 1 - 3 * c * d - 2 * c * S) // (2 * d)
     return S
+
+
+def inverse_dedekind6(d: int, c: int) -> tuple[int, int]:
+    """(d^-1 mod c, 6c * s(d, c)) from one forward Euclid pass.
+
+    With c/d = [a_1; a_2, ..., a_t] (d reduced mod c) the continued-fraction
+    form of the Dedekind sum (Hickerson 1977; Knuth 1977) reads
+    12 s(d, c) = sum_i (-1)^{i+1} a_i + (d + d*)/c - 3 [t odd],
+    where d* is the Bezout coefficient of d that the same pass carries:
+    d^-1 mod c when t is odd, d^-1 mod c - c when t is even.  Agrees with
+    ``(pow(d, -1, c), dedekind_sum6(d, c))``; c = 1 gives (0, 0).
+    """
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+    d %= c
+    r, s = c, d
+    x, y = 0, 1
+    alt = 0                 # a_t - a_{t-1} + ... +- a_1
+    odd = False
+    while s:
+        a = r // s
+        r, s = s, r - a * s
+        x, y = y, x - a * y
+        alt = a - alt
+        odd = not odd
+    if r != 1:
+        raise ValueError("need gcd(d, c) = 1")
+    if odd:
+        return x % c, (c * (alt - 3) + d + x) // 2
+    return x % c, (d + x - c * alt) // 2
 
 
 def coprime_residues(k: int, kappa: int | None = None,

@@ -5,6 +5,12 @@ complements, modular inverses, quadratic growth exponents), the residue
 classification of Farey arcs, the hypothesis inequality, exact phase
 assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
+
+The main sum builds the exact data of its arcs per (kappa, ell, k)
+member, inside the call: the constants of each (m_j, k) once, and the
+modular inverse and Dedekind sum of each arc from one Euclid pass per
+distinct modulus.  Nothing is cached across calls, so memory does not
+grow with n or with the number of calls.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterable
 
 from ._backend import DOUBLE, get_backend
-from .arith import coprime_residues, dedekind_sum6, gcd0, hbar
+from .arith import coprime_residues, gcd0, hbar, inverse_dedekind6
 from .qseries import ProductSpec
 
 
@@ -148,16 +154,19 @@ def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
     ordered by ell, then kappa; each divisor cell of :func:`_arc_table`
     is checked once.
     """
-    table = _arc_table(spec)
-    L = spec.L
-    failing = {(D, c) for D, cells in table.items()
-               for c, (dv, bound) in enumerate(cells) if bound < dv / 24}
+    failing = {D: bad for D, cells in _arc_table(spec).items()
+               if (bad := [c for c, (dv, bound) in enumerate(cells)
+                           if bound < dv / 24])}
     violations = []
     if failing:
+        L = spec.L
         for ell in range(1, L + 1):
             D = math.gcd(ell, L)
-            violations.extend((kappa, ell) for kappa in range(ell)
-                              if (D, kappa % D) in failing)
+            bad = failing.get(D)
+            if bad:
+                # the classes kappa < ell in the failing cells c + D Z
+                violations.extend((kappa, ell) for kappa in sorted(
+                    kappa for c in bad for kappa in range(c, ell, D)))
     return not violations, violations
 
 
@@ -194,8 +203,9 @@ def _unit(num: int, den: int, backend=DOUBLE):
 def _pi_value(factors, backend=DOUBLE):
     """Pi_{h,k} from its (x numerator, x denominator, delta) factors 1 - e^{2 pi i x}."""
     value = backend.complex_(1)
+    turn = 2 * backend.j * backend.pi
     for x, den, d in factors:
-        f = 1 - backend.exp(2 * backend.j * backend.pi * backend.ratio(x, den))
+        f = 1 - backend.exp(turn * backend.ratio(x, den))
         if f == 0:
             raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
         value *= f ** d
@@ -220,53 +230,96 @@ class ArcDatum:
                                for x, d in self.pi_exponents), backend)
 
 
-def _arc_phase(spec: ProductSpec, h: int, k: int,
-               hbars: tuple[int, ...] | None = None):
-    """Integer form of one arc's combined phase and of its Pi factors.
+def _arc_kernel(spec: ProductSpec, k: int, hs: Iterable[int],
+                hbars: tuple[int, ...] | None = None):
+    """Integer form of the combined phase and the Pi factors of the arcs h/k.
 
-    Returns (num, pi).  The phase exponent is num / D (mod 2) with
-    D = 3 L k and 0 <= num < 2D: the parity term sum_j delta_j lambda_j,
-    twice the omega exponent and the D exponent are each an integer over
-    D, because m_j | L and 6c s(d, c) is an integer.  `pi` lists each
-    factor 1 - e^{2 pi i x} of Pi as (x numerator in (0, m_j k), m_j k,
-    delta_j).  `hbars`, when given, replaces the canonical modular inverses
-    and is validated.
+    Returns [(h, num, pi)] for h in `hs`, in order.  The phase exponent is
+    num / D (mod 2) with D = 3 L k and 0 <= num < 2D: the parity term
+    sum_j delta_j lambda_j, twice the omega exponent and the D exponent
+    are each an integer over D, because m_j | L and 6c s(d, c) is an
+    integer.  `pi` lists each factor 1 - e^{2 pi i x} of Pi as
+    (x numerator in (0, m_j k), m_j k, delta_j).  Every h must be coprime
+    to k.  `hbars`, when given for a single h, replaces the canonical
+    modular inverses and is validated.
+
+    This is the one place the integer phase formula lives.  What depends
+    on (j, k) only is computed once: g = gcd(m_j, k), k/g, m_j/g and the
+    integer coefficients below.  hbar and S = 6 (k/g) s(m h/g, k/g) depend
+    on m_j, not on r_j, so one Euclid pass per distinct modulus and h gives
+    both (with `hbars`, each factor keeps its own pass).  Since
+    gcd(h, g) = 1, lambda*_j = 0 (a Pi factor) exactly when g divides r_j,
+    whatever h is.
     """
     L = spec.L
     D = 3 * L * k
-    num = 0
-    pi = []
+    D2 = 2 * D
+    # D times the exponent: per factor, lambda (the parity term), then the
+    # D exponent r h/k - r g/(m k) + 2 r g lambda*/(m k)
+    # + hbar g (lambda^2 - lambda)/k, then twice the omega exponent,
+    # -2 s(m h/g, k/g) = -L g S / D
+    index = {}                      # Euclid pass key -> position in groups
+    groups = []                     # [m/g, k/g, L g sum(delta), hbar override]
+    factors = []
+    const = slope = 0               # the parts constant and linear in h
     for j, (m, r, d) in enumerate(zip(spec.m, spec.r, spec.delta)):
-        g = gcd0(m, k)
-        kp = k // g
-        lam = -((-r * h) // g)
-        if hbars is None:
-            hb = hbar(m, h, k)
-        else:
-            hb = hbars[j]
-            if (hb * (m // g) * h + 1) % kp != 0:
-                raise ValueError(f"invalid hbar override for factor {j}")
+        g = math.gcd(m, k)
+        key = m if hbars is None else j
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(groups)
+            groups.append([m // g, k // g, 0, None if hbars is None else hbars[j]])
+        groups[i][2] += d * L * g
         a = 3 * L // m
-        gls = g * lam - r * h                   # g * lambda*, in [0, g)
-        # D times: lambda (the parity term), then the D exponent
-        # r h/k - r g/(m k) + 2 r g lambda*/(m k) + hbar g (lambda^2 - lambda)/k,
-        # then twice the omega exponent, -2 s(m h/g, k/g) = -L g S / D with
-        # S = 6 (k/g) s(m h/g, k/g)
-        num += d * (lam * D + 3 * L * r * h - a * r * g + 2 * a * r * gls
-                    + 3 * L * hb * g * (lam * lam - lam)
-                    - L * g * dedekind_sum6((m // g) * h, kp))
-        if gls == 0:
-            x = (r * g + r * hb * m * h) % (m * k)
-            if x == 0:
-                raise AssertionError("Pi exponent is an integer; contradicts arc preconditions")
-            pi.append((x, m * k, d))
-    return num % (2 * D), tuple(pi)
+        const -= d * a * r * g
+        slope += d * 3 * L * r
+        factors.append((i, r, g, d * D, 2 * d * a * r, d * 3 * L * g,
+                        (r * g, r * m, m * k, d) if r % g == 0 else None))
+    out = []
+    for h in hs:
+        num = const + slope * h
+        hbs = []
+        for mg, kp, cS, over in groups:
+            inv, S = inverse_dedekind6(mg * h, kp)
+            num -= cS * S
+            if over is None:
+                hbs.append(-inv % kp)
+            elif (over * mg * h + 1) % kp == 0:
+                hbs.append(over)
+            else:
+                raise ValueError(f"invalid hbar override for factor {len(hbs)}")
+        pi = []
+        for i, r, g, cl, cs, chb, pif in factors:
+            hb = hbs[i]
+            gls = -r * h % g                    # g * lambda*, in [0, g)
+            lam = (r * h + gls) // g
+            num += cl * lam + cs * gls + chb * hb * (lam * lam - lam)
+            if pif is not None:
+                rg, rm, mk, d = pif
+                x = (rg + rm * hb * h) % mk
+                if x == 0:
+                    raise AssertionError("Pi exponent is an integer; contradicts arc preconditions")
+                pi.append((x, mk, d))
+        out.append((h, num % D2, tuple(pi)))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _arc_kernel(spec: ProductSpec, h: int, k: int):
-    """Cached :func:`_arc_phase` at the canonical modular inverses."""
-    return _arc_phase(spec, h, k)
+def _arc_phase(spec: ProductSpec, h: int, k: int,
+               hbars: tuple[int, ...] | None = None):
+    """(num, pi) of :func:`_arc_kernel` for the single arc h/k."""
+    if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
+        raise ValueError("need 0 <= h < k with gcd(h, k) = 1")
+    _, num, pi = _arc_kernel(spec, k, (h,), hbars)[0]
+    return num, pi
+
+
+def _member_kernel(spec: ProductSpec, kappa: int, ell: int, k: int):
+    """:func:`_arc_kernel` over the admissible h of the member (kappa, ell, k):
+    h coprime to k with h = kappa (mod ell), increasing.  A common divisor
+    of kappa, ell and k divides every such h and k, so there is none."""
+    if math.gcd(kappa, ell, k) > 1:
+        return []
+    return _arc_kernel(spec, k, coprime_residues(k, kappa, ell))
 
 
 def arc_datum(spec: ProductSpec, h: int, k: int,
@@ -416,19 +469,33 @@ def default_K(spec: ProductSpec, n: int) -> int:
     return math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24)))
 
 
-def _h_sum(spec: ProductSpec, n: int, kappa: int, ell: int, k: int, backend):
-    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}.
+def _h_terms(spec: ProductSpec, kappa: int, ell: int, k: int, backend):
+    """(h, phase numerator, Pi_{h,k}) over the admissible h of one member.
 
-    The exponent stays an integer over D = 3 L k, where -2 n h / k is
-    -6 L n h; it is converted to a float once per term.
+    The phase stays exact (an integer over D = 3 L k); Pi, which does not
+    depend on n, is evaluated once here.
     """
-    D = 3 * spec.L * k
-    step = 6 * spec.L * n
+    return [(h, num, _pi_value(pi, backend))
+            for h, num, pi in _member_kernel(spec, kappa, ell, k)]
+
+
+def _sum_terms(terms, step: int, D: int, backend):
+    """Sum of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k} over `terms`, in order.
+
+    -2 n h / k is -step h / D with step = 6 L n, so each exponent stays an
+    integer over D and is converted to a float once per term.
+    """
     total = backend.complex_(0)
-    for h in coprime_residues(k, kappa, ell):
-        num, pi = _arc_kernel(spec, h, k)
-        total += _unit(num - step * h, D, backend) * _pi_value(pi, backend)
+    for h, num, pi in terms:
+        total += _unit(num - step * h, D, backend) * pi
     return total
+
+
+def _h_sum(spec: ProductSpec, n: int, kappa: int, ell: int, k: int, backend):
+    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
+    L = spec.L
+    return _sum_terms(_h_terms(spec, kappa, ell, k, backend),
+                      6 * L * n, 3 * L * k, backend)
 
 
 def _positive_classes(spec: ProductSpec) -> dict[int, list[ArcClass]]:
@@ -446,35 +513,50 @@ def _require_range(spec: ProductSpec, n: int) -> Fraction:
 
 
 def _require_assumption(spec: ProductSpec) -> None:
+    """Raise HypothesisError where the hypothesis inequality fails, naming
+    the number of failing classes and the first ten of them."""
     ok, violations = check_assumption(spec)
     if not ok:
-        raise HypothesisError(f"hypothesis inequality fails at classes {violations}")
+        shown = violations[:10]
+        first = f", the first {len(shown)}" if len(shown) < len(violations) else ""
+        raise HypothesisError(f"hypothesis inequality fails at "
+                              f"{len(violations)} classes{first}: {shown}")
 
 
 def g_asymptotic_members(spec: ProductSpec, n: int,
-                         members: list[tuple[int, int, int]],
+                         members: Iterable[tuple[int, int, int]],
                          precision: str = "double") -> LogComplex:
-    """The main-term sum restricted to explicit (kappa, ell, k) triples."""
+    """The main-term sum restricted to explicit (kappa, ell, k) triples.
+
+    `members` is iterated once, after both hypotheses are checked.  Each
+    class's Delta is read from its divisor cell of :func:`_arc_table`; the
+    factor pref * I_{-1}(x), which depends on the cell and k only, is
+    evaluated once per (cell, k).
+    """
     omega = _require_range(spec, n)
     _require_assumption(spec)
     backend = get_backend(precision)
-    deltas: dict[tuple[int, int], Fraction] = {}
+    table = _arc_table(spec)
+    L = spec.L
+    bessels: dict[tuple[int, int, int], LogComplex] = {}
     terms = []
     w = float(24 * n + omega)
     for kappa, ell, k in members:
-        dv = deltas.get((kappa, ell))
-        if dv is None:
-            dv = deltas[kappa, ell] = delta_arc(spec, kappa, ell)
-            if dv <= 0:
-                raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
+        D = math.gcd(ell, L)
+        dv = table[D][kappa % D][0]
+        if dv.numerator <= 0:
+            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
         hs = backend.to_complex(_h_sum(spec, n, kappa, ell, k, backend))
         if hs == 0:
             continue
-        x = math.pi * math.sqrt(float(dv) * w) / (6 * k)
-        pref = LogComplex.from_log_real(
-            math.log(2 * math.pi / k) + 0.5 * math.log(float(dv) / w))
-        terms.append(pref * bessel_I_minus1(x, precision)
-                     * LogComplex.from_complex(hs))
+        key = (D, kappa % D, k)
+        factor = bessels.get(key)
+        if factor is None:
+            x = math.pi * math.sqrt(float(dv) * w) / (6 * k)
+            pref = LogComplex.from_log_real(
+                math.log(2 * math.pi / k) + 0.5 * math.log(float(dv) / w))
+            factor = bessels[key] = pref * bessel_I_minus1(x, precision)
+        terms.append(factor * LogComplex.from_complex(hs))
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
     total = logc_sum(terms)
     return LogComplex.from_complex(complex(front.to_complex())) * total
@@ -487,19 +569,20 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
     Sums over every major-arc class and every k <= K congruent to the
     class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
     result is a LogComplex whose imaginary part is pure numerical noise.
-    The arcs are classified once here; :func:`g_asymptotic_members`
-    checks the hypothesis inequality once.
+    :func:`g_asymptotic_members` checks the hypothesis inequality once,
+    before the arcs are classified (once) to generate its members.
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     _require_range(spec, n)
     if K is None:
         K = default_K(spec, n)
-    by_ell = _positive_classes(spec)
     L = spec.L
-    members = []
-    for k in range(1, K + 1):
-        ell = (k - 1) % L + 1
-        for cls in by_ell.get(ell, ()):
-            members.append((cls.kappa, cls.ell, k))
-    return g_asymptotic_members(spec, n, members, precision)
+
+    def members():
+        by_ell = _positive_classes(spec)
+        for k in range(1, K + 1):
+            for cls in by_ell.get((k - 1) % L + 1, ()):
+                yield cls.kappa, cls.ell, k
+
+    return g_asymptotic_members(spec, n, members(), precision)

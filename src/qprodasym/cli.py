@@ -145,8 +145,9 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
-    levels = analysis.dominant_levels(spec, args.depth)
+    # the profile checks the hypothesis inequality before any classification
     verdict = analysis.leading_profile(spec, args.depth, args.precision)
+    levels = analysis.dominant_levels(spec, args.depth)
     doc = {
         "levels": [{"value": _fmt(lv.value),
                     "members": [list(m) for m in lv.members]} for lv in levels],

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
-
-from .arith import lcm_all
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class ProductSpec:
 
     @property
     def L(self) -> int:
-        """lcm of all moduli m_j."""
-        return lcm_all(self.m)
+        """lcm of all moduli m_j (each at least 2, checked on construction)."""
+        return math.lcm(*self.m)
 
     def negated(self) -> "ProductSpec":
         """The reciprocal product (all exponents negated)."""

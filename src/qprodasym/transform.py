@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._backend import DOUBLE, get_backend
 from .arith import dedekind_sum_fast, gcd0, hbar
 from .asymptotics import (PhaseExponent, lambda_int, lambda_star, omega_big,
-                          _arc_kernel, _unit)
+                          _arc_phase, _unit)
 from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
@@ -226,7 +226,7 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
         lhs *= eval_Zh(r, m, tau, terms, precision) ** d
 
     # the arc phase num / D and the front factor e^{pi i sum(delta)/2}, over 2D
-    num, _ = _arc_kernel(spec, h, k)
+    num, _ = _arc_phase(spec, h, k)
     D = 3 * spec.L * k
     rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
     omega = omega_big(spec)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum6,
-                             dedekind_sum_fast, gcd0, hbar, lcm_all, sawtooth)
+                             dedekind_sum_fast, gcd0, hbar, inverse_dedekind6,
+                             lcm_all, sawtooth)
 
 
 class TestGcd0:
@@ -169,6 +170,42 @@ class TestDedekindSum6:
             dedekind_sum6(2, 4)
         with pytest.raises(ValueError):
             dedekind_sum6(1, 0)
+
+
+class TestInverseDedekind6:
+    def test_matches_separate_oracles(self):
+        # every coprime pair with c <= 400 against the reciprocity chain
+        # and the built-in modular inverse
+        for c in range(2, 401):
+            for d in range(c):
+                if math.gcd(d, c) == 1:
+                    assert inverse_dedekind6(d, c) == (pow(d, -1, c),
+                                                       dedekind_sum6(d, c))
+
+    def test_trivial_modulus(self):
+        assert inverse_dedekind6(0, 1) == (0, 0)
+        assert inverse_dedekind6(5, 1) == (0, 0)
+
+    def test_any_representative(self):
+        for c in (7, 12, 60):
+            for d in range(-2 * c, 2 * c):
+                if math.gcd(d, c) == 1:
+                    assert inverse_dedekind6(d, c) == inverse_dedekind6(d % c, c)
+
+    def test_gives_hbar(self):
+        # hbar(m, h, k) is minus the inverse of (m/g) h modulo k/g
+        for k in range(1, 60):
+            for m in (2, 5, 6, 10, 12):
+                g = math.gcd(m, k)
+                for h in coprime_residues(k):
+                    inv, _ = inverse_dedekind6(m // g * h, k // g)
+                    assert -inv % (k // g) == hbar(m, h, k)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            inverse_dedekind6(2, 4)
+        with pytest.raises(ValueError):
+            inverse_dedekind6(1, 0)
 
 
 class TestCoprimeResidues:

@@ -5,6 +5,7 @@ truncated main-term sum against exact coefficients.
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -18,8 +19,9 @@ from qprodasym import asymptotics
 from qprodasym._backend import DOUBLE
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum, upsilon,
-                                   _arc_kernel, _bessel_i1_asym_log,
-                                   _bessel_i1_series_log, _h_sum)
+                                   _arc_phase, _bessel_i1_asym_log,
+                                   _bessel_i1_series_log, _h_sum,
+                                   _member_kernel)
 
 from conftest import P5, RR, TG, random_farey, random_spec
 
@@ -304,11 +306,51 @@ class TestArcKernel:
             datum = arc_datum(spec, h, k, hbars)
             assert (datum.lambdas, datum.lambda_stars, datum.hbars,
                     datum.phase, datum.pi_exponents) == expected
-            num, pi = _arc_kernel(spec, h, k)
+            num, pi = _arc_phase(spec, h, k)
             assert Fraction(num, 3 * spec.L * k) == expected[3].t
             assert tuple((Fraction(x, den), d) for x, den, d in pi) == expected[4]
+            # the same arc inside the kernel of a member that contains it
+            ell = 1 + (h + k) % k
+            member = {hh: (nn, pp) for hh, nn, pp in _member_kernel(spec, h % ell, ell, k)}
+            assert member[h] == (num, pi)
             checked += 1
         assert overridden > 100
+
+    def test_member_kernel_matches_fraction_oracle(self):
+        # members with k up to 200 of random specs, and every TG member
+        # (J = 3, the modulus 10 twice) with k <= 200
+        rng = random.Random(17)
+        cases = []
+        while len(cases) < 60:
+            spec = random_spec(rng, max_j=4, max_m=12)
+            k = rng.randint(1, 200)
+            ell = rng.randint(1, 2 * spec.L)
+            cases.append((spec, rng.randrange(ell), ell, k))
+        cases += [(TG, kappa, ell, k) for kappa, ell in TG_POSITIVE
+                  for k in range(ell, 201, TG.L)]
+        arcs = 0
+        for spec, kappa, ell, k in cases:
+            hs = list(coprime_residues(k, kappa, ell))
+            try:
+                expected = [fraction_arc_datum(spec, h, k) for h in hs]
+            except AssertionError:
+                with pytest.raises(AssertionError):
+                    _member_kernel(spec, kappa, ell, k)
+                continue
+            kernel = _member_kernel(spec, kappa, ell, k)
+            assert [h for h, _, _ in kernel] == hs
+            for (h, num, pi), exp in zip(kernel, expected):
+                assert 0 <= num < 6 * spec.L * k
+                assert Fraction(num, 3 * spec.L * k) == exp[3].t
+                assert tuple((Fraction(x, den), d) for x, den, d in pi) == exp[4]
+            arcs += len(kernel)
+        assert arcs > 2000
+
+    def test_member_without_admissible_h(self):
+        # gcd(kappa, ell, k) > 1 divides every h = kappa (mod ell) and k
+        for kappa, ell, k in ((0, 2, 4), (2, 4, 6), (3, 6, 9), (0, 10, 10)):
+            assert list(coprime_residues(k, kappa, ell)) == []
+            assert _member_kernel(TG, kappa, ell, k) == []
 
     def test_h_sum_builds_no_fraction(self, monkeypatch):
         made = []
@@ -318,7 +360,6 @@ class TestArcKernel:
             made.append(args)
             return new(cls, *args, **kwargs)
 
-        _arc_kernel.cache_clear()
         monkeypatch.setattr(Fraction, "__new__", counting)
         total = sum(_h_sum(TG, 1468, kappa, ell, k, DOUBLE)
                     for kappa, ell in TG_POSITIVE for k in range(ell, 61, TG.L))
@@ -452,6 +493,18 @@ class TestGAsymptotic:
                             counted("classify", asymptotics.classify_arcs))
         asymptotics.g_asymptotic(TG, 400)
         assert calls == {"check": 1, "classify": 1}
+
+    def test_retains_no_arc_data(self):
+        # the per-member kernels live only inside the call
+        assert not any(hasattr(v, "cache_clear") for v in vars(asymptotics).values())
+        g_asymptotic(P5, 200)              # lazy module state, outside the trace
+        tracemalloc.start()
+        try:
+            g_asymptotic(P5, 20000)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
 
     @pytest.mark.parametrize("K", [0, -3])
     def test_rejects_nonpositive_K(self, K):

@@ -8,7 +8,7 @@ import json
 import mpmath
 import pytest
 
-from qprodasym import _backend, asymptotics
+from qprodasym import _backend, analysis, asymptotics
 from qprodasym.cli import main, parse_spec, SpecParseError
 
 from conftest import RR
@@ -152,6 +152,13 @@ class TestAsym:
         assert code == 0
         assert out == expected + "\n"
 
+    def test_golden_stdout_large_n(self, capsys):
+        # TG at K = 354: per-member kernels with k far beyond the class level
+        code, out, _ = run(capsys, "asym", "5:2:-2", "10:2:1", "10:4:2",
+                           "--n", "20000")
+        assert code == 0
+        assert out == ('{"K":354,"imag_over_real":"0",'
+                       '"log_abs":"154.380603933585","n":20000,"sign":1}\n')
 
     def test_extended_keeps_global_precision(self, capsys, monkeypatch):
         monkeypatch.setattr(_backend, "_EXTENDED", None)   # built afresh
@@ -173,6 +180,21 @@ class TestCompare:
         rel = abs(float(lines[2].split(",")[-1]))
         assert rel < 1e-6
 
+    def test_golden_json(self, capsys):
+        # bit for bit the table of the per-arc Fraction assembly
+        code, out, _ = run(capsys, "compare", "5:1:1", "5:2:-1",
+                           "--n-list", "200,500,1000", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[{"exact":"58172","log_abs_asym":"10.9711587917428",'
+            '"log_abs_exact":"10.9711594182976","n":200,'
+            '"rel_error":"-6.26554611748986e-07"},'
+            '{"exact":"302614540","log_abs_asym":"19.5279704081739",'
+            '"log_abs_exact":"19.5279704083955","n":500,'
+            '"rel_error":"-2.21586304860466e-10"},'
+            '{"exact":"5993121914765","log_abs_asym":"29.4216335800585",'
+            '"log_abs_exact":"29.4216335800585","n":1000,"rel_error":"0"}]\n')
+
     def test_n_out_of_range_exit_code(self, capsys):
         # same exit code as asym for an n outside n > -Omega/24
         code, out, err = run(capsys, "compare", "5:1:-1", "--n-list", "0")
@@ -192,6 +214,39 @@ class TestAnalyze:
                                                [2, 5, 5], [3, 5, 5]]
         assert doc["inconclusive"] is False
 
+    @pytest.mark.parametrize("spec,expected", [
+        (("5:1:-1",),
+         '{"amplitudes":["0.85065080835204"],"inconclusive":false,'
+         '"level_index":0,"levels":[{"members":[[0,1,1],[0,5,5]],'
+         '"value":"0.632455532033676"},{"members":[[0,2,2],[0,5,10],[1,2,2]],'
+         '"value":"0.316227766016838"},{"members":[[0,3,3],[0,5,15],[1,3,3],'
+         '[2,3,3]],"value":"0.210818510677892"}],"modulus":1,'
+         '"signs":["positive"]}'),
+        (("5:1:1", "5:2:-1"),
+         '{"amplitudes":["1.8595529717765","-1.93716632225726",'
+         '"1.27484797949738","-0.125581039058627","-1.07165358995799"],'
+         '"inconclusive":false,"level_index":0,"levels":[{"members":'
+         '[[2,5,5],[3,5,5]],"value":"0.438178046004133"},{"members":'
+         '[[2,5,10],[3,5,10]],"value":"0.219089023002066"},{"members":'
+         '[[2,5,15],[3,5,15]],"value":"0.146059348668044"}],"modulus":5,'
+         '"signs":["positive","negative","positive","negative","negative"]}'),
+        (("5:2:-2", "10:2:1", "10:4:2"),
+         '{"amplitudes":["3.07768353717525","-1.11022302462516e-16",'
+         '"1.17557050458495","2.35114100916989","-0.726542528005361"],'
+         '"inconclusive":false,"level_index":0,"levels":[{"members":'
+         '[[0,1,1],[0,5,5],[2,5,5],[3,5,5]],"value":"0.447213595499958"},'
+         '{"members":[[1,10,10],[2,10,10],[3,10,10],[4,10,10],[6,10,10],'
+         '[7,10,10],[8,10,10],[9,10,10]],"value":"0.282842712474619"},'
+         '{"members":[[0,3,3],[0,5,15],[1,3,3],[2,3,3],[2,5,15],[3,5,15]],'
+         '"value":"0.149071198499986"}],"modulus":5,'
+         '"signs":["positive","vanishing","positive","positive","negative"]}'),
+    ])
+    def test_golden_stdout(self, capsys, spec, expected):
+        # the amplitudes reuse one kernel per member across the P residues
+        code, out, _ = run(capsys, "analyze", *spec)
+        assert code == 0
+        assert out == expected + "\n"
+
     def test_no_major_arcs_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "2:1:1", "2:1:-1")
         assert code == 2
@@ -203,6 +258,38 @@ class TestAnalyze:
         assert out == ""
         assert "(2, 6), (4, 6)" in err
         assert run(capsys, "asym", "3:1:1", "6:3:-2", "--n", "100")[0] == 2
+
+
+class TestHypothesisFailsFast:
+    # L = 924: 66,939 of the 427,350 classes violate the inequality
+    SPEC = ("7:1:-1", "11:1:-1", "12:1:-1")
+    FIRST = ("[(0, 4), (0, 6), (0, 7), (1, 7), (6, 7), (0, 8), (4, 8), "
+             "(0, 11), (1, 11), (2, 11)]")
+
+    @pytest.mark.parametrize("argv", [("asym", "--n", "100"),
+                                      ("compare", "--n-list", "100,200"),
+                                      ("analyze",)], ids=lambda a: a[0])
+    def test_exits_before_classifying(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran after a failed hypothesis check")
+
+        monkeypatch.setattr(asymptotics, "classify_arcs", refuse)
+        monkeypatch.setattr(analysis, "classify_arcs", refuse)
+        monkeypatch.setattr(analysis, "expand_spec", refuse)
+        code, out, err = run(capsys, argv[0], *self.SPEC, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert ("fails at 66939 classes, the first 10: " + self.FIRST) in err
+        assert len(err) < 300
+
+    def test_arcs_lists_every_violation(self, capsys):
+        spec = ("2:1:-2", "4:1:-1", "8:5:-3")
+        code, out, _ = run(capsys, "arcs", *spec, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["violations"]) == 21
+        code, _, err = run(capsys, "asym", *spec, "--n", "100")
+        assert code == 2
+        assert "fails at 21 classes, the first 10: [(0, 1), (0, 2), " in err
 
 
 class TestSigns:
