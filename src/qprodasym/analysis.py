@@ -15,8 +15,8 @@ from typing import IO, Sequence
 
 from ._backend import get_backend
 from .arith import lcm_all
-from .asymptotics import (HypothesisError, PhaseExponent, _h_terms,
-                          _require_assumption, _sum_terms, classify_arcs,
+from .asymptotics import (HypothesisError, PhaseExponent, _level_sums,
+                          _level_terms, _require_assumption, classify_arcs,
                           g_asymptotic, omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
@@ -107,18 +107,23 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
     L = spec.L
     for idx, level in enumerate(levels):
-        # each member's exact phases and Pi values, shared by all residues n0
-        contributing = [(k, terms) for kappa, ell, k in level.members
-                        if (terms := _h_terms(spec, kappa, ell, k, backend))]
+        # one kernel pass per (k, ell) of the level; the exact phases and
+        # Pi values are shared by all residues n0
+        arcs = _level_terms(spec, level.members, backend)
+        present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
+                   for h, _, _ in terms}
+        contributing = [m for m in level.members if m in present]
         if not contributing:
             continue
-        P = lcm_all([k for k, _ in contributing])
+        P = lcm_all([k for _, _, k in contributing])
         scale = 0.0
         amps = []
         for n0 in range(P):
+            sums = {(k, ell): _level_sums(terms, 6 * L * n0, 3 * L * k, ell, backend)
+                    for (k, ell), terms in arcs.items()}
             total = backend.complex_(0)
-            for k, terms in contributing:
-                total += _sum_terms(terms, 6 * L * n0, 3 * L * k, backend)
+            for kappa, ell, k in contributing:
+                total += sums[k, ell][kappa]
             value = backend.to_complex(front.to_complex(backend)
                                        * backend.native(total))
             amps.append(value.real)

@@ -6,11 +6,14 @@ classification of Farey arcs, the hypothesis inequality, exact phase
 assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
 
-The main sum builds the exact data of its arcs per (kappa, ell, k)
-member, inside the call: the constants of each (m_j, k) once, and the
-modular inverse and Dedekind sum of each arc from one Euclid pass per
-distinct modulus.  Nothing is cached across calls, so memory does not
-grow with n or with the number of calls.
+The main sum builds the exact data of its arcs per Farey level k,
+inside the call: one kernel pass per k over every admissible h, with the
+constants of each (m_j, k) computed once and the modular inverse and
+Dedekind sum of each arc from one Euclid pass per distinct modulus; each
+h is added into the sum of its class h mod ell.  The divisor-cell table
+of Delta and the hypothesis bound is built once per call.  Nothing is
+cached across calls, so memory does not grow with n or with the number
+of calls.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from ._backend import DOUBLE, get_backend
-from .arith import coprime_residues, gcd0, hbar, inverse_dedekind6
+from .arith import gcd0, hbar, inverse_dedekind6
 from .qseries import ProductSpec
 
 
@@ -55,6 +58,17 @@ def omega_big(spec: ProductSpec) -> Fraction:
     return total
 
 
+def _delta_num(spec: ProductSpec, kappa: int, ell: int) -> int:
+    """L * Delta(kappa, ell), an integer; see :func:`delta_arc`."""
+    L = spec.L
+    num = 0
+    for m, r, d in zip(spec.m, spec.r, spec.delta):
+        g = math.gcd(m, ell)
+        a = -r * kappa % g
+        num += d * (L // m) * (2 * g * g + 12 * a * (a - g))
+    return -num
+
+
 def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     """Exact arc exponent Delta(kappa, ell); positive on major arcs.
 
@@ -64,13 +78,7 @@ def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     """
     if not 0 <= kappa < ell:
         raise ValueError("need 0 <= kappa < ell")
-    L = spec.L
-    num = 0
-    for m, r, d in zip(spec.m, spec.r, spec.delta):
-        g = gcd0(m, ell)
-        a = -r * kappa % g
-        num += d * (L // m) * (2 * g * g + 12 * a * (a - g))
-    return Fraction(-num, L)
+    return Fraction(_delta_num(spec, kappa, ell), spec.L)
 
 
 def upsilon(x: Fraction) -> Fraction:
@@ -93,8 +101,8 @@ class ArcClass:
     delta_value: Fraction
 
 
-def _hypothesis_bound(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
-    """min_j Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j, exactly.
+def _bound_num(spec: ProductSpec, kappa: int, ell: int) -> int:
+    """L * min_j Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j, an integer.
 
     With g = gcd(m_j, ell) and a = g lambda*_j, the j-th value is g^2 / m_j
     at a = 0 and g min(a, g - a) / m_j otherwise.
@@ -102,23 +110,22 @@ def _hypothesis_bound(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     L = spec.L
     values = []
     for m, r in zip(spec.m, spec.r):
-        g = gcd0(m, ell)
+        g = math.gcd(m, ell)
         a = -r * kappa % g
         values.append((L // m) * g * (min(a, g - a) if a else g))
-    return Fraction(min(values), L)
+    return min(values)
 
 
-def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[Fraction, Fraction]]]:
-    """Delta and the hypothesis bound on the sigma(L) divisor cells of L.
+def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
+    """L * Delta and L * the hypothesis bound on the sigma(L) divisor cells of L.
 
     Both depend on a class (kappa, ell) only through D = gcd(ell, L) and
     kappa mod D: m_j | L gives gcd(m_j, ell) = gcd(m_j, D), and lambda*_j
     depends on kappa mod gcd(m_j, ell), a divisor of D.  So
-    table[D][c] = (Delta(c, D), bound(c, D)) for 0 <= c < D stands for
-    every class with gcd(ell, L) = D and kappa = c (mod D).
+    table[D][c] = (L Delta(c, D), L bound(c, D)), integers, for 0 <= c < D
+    stands for every class with gcd(ell, L) = D and kappa = c (mod D).
     """
-    return {D: [(delta_arc(spec, c, D), _hypothesis_bound(spec, c, D))
-                for c in range(D)]
+    return {D: [(_delta_num(spec, c, D), _bound_num(spec, c, D)) for c in range(D)]
             for D in range(1, spec.L + 1) if spec.L % D == 0}
 
 
@@ -129,13 +136,13 @@ def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     Delta = 0 go to the nonpositive set.  Delta is read off the divisor
     cells of :func:`_arc_table`.
     """
-    table = _arc_table(spec)
     L = spec.L
     positive: list[ArcClass] = []
     nonpositive: list[ArcClass] = []
     # per cell, Delta and the list its classes go to
-    targets = {D: [(dv, positive if dv > 0 else nonpositive) for dv, _ in cells]
-               for D, cells in table.items()}
+    targets = {D: [(Fraction(dn, L), positive if dn > 0 else nonpositive)
+                   for dn, _ in cells]
+               for D, cells in _arc_table(spec).items()}
     for ell in range(1, L + 1):
         cells = targets[math.gcd(ell, L)]
         D = len(cells)
@@ -145,18 +152,20 @@ def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     return positive, nonpositive
 
 
-def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
+def check_assumption(spec: ProductSpec, table=None
+                     ) -> tuple[bool, list[tuple[int, int]]]:
     """Verify the hypothesis inequality on every residue class, exactly.
 
     For each (kappa, ell) the minimum over j of
     Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j must be at least
     Delta(kappa, ell) / 24.  Returns (ok, violations), the violations
     ordered by ell, then kappa; each divisor cell of :func:`_arc_table`
-    is checked once.
+    (built here unless the caller passes it as `table`) is checked once.
     """
-    failing = {D: bad for D, cells in _arc_table(spec).items()
-               if (bad := [c for c, (dv, bound) in enumerate(cells)
-                           if bound < dv / 24])}
+    if table is None:
+        table = _arc_table(spec)
+    failing = {D: bad for D, cells in table.items()
+               if (bad := [c for c, (dn, bn) in enumerate(cells) if 24 * bn < dn])}
     violations = []
     if failing:
         L = spec.L
@@ -313,15 +322,6 @@ def _arc_phase(spec: ProductSpec, h: int, k: int,
     return num, pi
 
 
-def _member_kernel(spec: ProductSpec, kappa: int, ell: int, k: int):
-    """:func:`_arc_kernel` over the admissible h of the member (kappa, ell, k):
-    h coprime to k with h = kappa (mod ell), increasing.  A common divisor
-    of kappa, ell and k divides every such h and k, so there is none."""
-    if math.gcd(kappa, ell, k) > 1:
-        return []
-    return _arc_kernel(spec, k, coprime_residues(k, kappa, ell))
-
-
 def arc_datum(spec: ProductSpec, h: int, k: int,
               hbars: tuple[int, ...] | None = None) -> ArcDatum:
     """Assemble lambda/hbar data and the exact combined phase for one arc.
@@ -469,40 +469,62 @@ def default_K(spec: ProductSpec, n: int) -> int:
     return math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24)))
 
 
-def _h_terms(spec: ProductSpec, kappa: int, ell: int, k: int, backend):
-    """(h, phase numerator, Pi_{h,k}) over the admissible h of one member.
+def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
+                 backend) -> dict[tuple[int, int], list]:
+    """(h, phase numerator, Pi_{h,k}) per level (k, ell) of `members`.
 
-    The phase stays exact (an integer over D = 3 L k); Pi, which does not
-    depend on n, is evaluated once here.
+    A class (kappa, ell) at k sums over the h coprime to k with
+    h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
+    D = gcd(ell, L).  Each level walks every h of its members' cells once,
+    increasing within a cell, and runs one :func:`_arc_kernel` pass over
+    them.  The phase stays exact (an integer over 3 L k); Pi, which does
+    not depend on n, is evaluated here with the float operations of
+    :func:`_pi_value`.
     """
-    return [(h, num, _pi_value(pi, backend))
-            for h, num, pi in _member_kernel(spec, kappa, ell, k)]
-
-
-def _sum_terms(terms, step: int, D: int, backend):
-    """Sum of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k} over `terms`, in order.
-
-    -2 n h / k is -step h / D with step = 6 L n, so each exponent stays an
-    integer over D and is converted to a float once per term.
-    """
-    total = backend.complex_(0)
-    for h, num, pi in terms:
-        total += _unit(num - step * h, D, backend) * pi
-    return total
-
-
-def _h_sum(spec: ProductSpec, n: int, kappa: int, ell: int, k: int, backend):
-    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
     L = spec.L
-    return _sum_terms(_h_terms(spec, kappa, ell, k, backend),
-                      6 * L * n, 3 * L * k, backend)
+    cells: dict[tuple[int, int], set[int]] = {}
+    for kappa, ell, k in members:
+        cells.setdefault((k, ell), set()).add(kappa % math.gcd(ell, L))
+    one = backend.complex_(1)
+    exp, ratio = backend.exp, backend.ratio
+    turn = 2 * backend.j * backend.pi
+    levels = {}
+    for (k, ell), cs in cells.items():
+        D = math.gcd(ell, L)
+        hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
+        terms = levels[k, ell] = []
+        for h, num, factors in _arc_kernel(spec, k, hs):
+            pi = one
+            for x, den, d in factors:
+                f = 1 - exp(turn * ratio(x, den))
+                if f == 0:
+                    raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
+                pi *= f ** d
+            terms.append((h, num, pi))
+    return levels
 
 
-def _positive_classes(spec: ProductSpec) -> dict[int, list[ArcClass]]:
-    by_ell: dict[int, list[ArcClass]] = {}
-    for cls in classify_arcs(spec)[0]:
-        by_ell.setdefault(cls.ell, []).append(cls)
-    return by_ell
+def _level_sums(terms, step: int, D: int, ell: int, backend) -> dict:
+    """Per class kappa = h mod ell, the sum of e^{-2 pi i n h / k}
+    phase_{h,k} Pi_{h,k} over the `terms` of one level, in their order.
+
+    -2 n h / k is -step h / D with step = 6 L n and D = 3 L k, so each
+    exponent stays an integer over D, is reduced into (-D, D] and is
+    converted by one rounded division, as in :func:`_unit`.  A class
+    without admissible h has no entry.
+    """
+    zero = backend.complex_(0)
+    exp, ratio = backend.exp, backend.ratio
+    jpi = backend.j * backend.pi
+    D2 = 2 * D
+    sums = {}
+    for h, num, pi in terms:
+        t = (num - step * h) % D2
+        if t > D:
+            t -= D2
+        kappa = h % ell
+        sums[kappa] = sums.get(kappa, zero) + exp(jpi * ratio(t, D)) * pi
+    return sums
 
 
 def _require_range(spec: ProductSpec, n: int) -> Fraction:
@@ -512,10 +534,10 @@ def _require_range(spec: ProductSpec, n: int) -> Fraction:
     return omega
 
 
-def _require_assumption(spec: ProductSpec) -> None:
+def _require_assumption(spec: ProductSpec, table=None) -> None:
     """Raise HypothesisError where the hypothesis inequality fails, naming
     the number of failing classes and the first ten of them."""
-    ok, violations = check_assumption(spec)
+    ok, violations = check_assumption(spec, table)
     if not ok:
         shown = violations[:10]
         first = f", the first {len(shown)}" if len(shown) < len(violations) else ""
@@ -525,37 +547,46 @@ def _require_assumption(spec: ProductSpec) -> None:
 
 def g_asymptotic_members(spec: ProductSpec, n: int,
                          members: Iterable[tuple[int, int, int]],
-                         precision: str = "double") -> LogComplex:
+                         precision: str = "double", table=None) -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples.
 
-    `members` is iterated once, after both hypotheses are checked.  Each
-    class's Delta is read from its divisor cell of :func:`_arc_table`; the
-    factor pref * I_{-1}(x), which depends on the cell and k only, is
-    evaluated once per (cell, k).
+    `members` is iterated once, after both hypotheses are checked, and
+    grouped by level (k, ell): one :func:`_level_terms` pass per level
+    gives the h-sums of all its members.  Each class's Delta is read from
+    its divisor cell of :func:`_arc_table` (built here unless the caller
+    passes it as `table`); the factor pref * I_{-1}(x), which depends on
+    Delta and k only, is evaluated once per (Delta, k).
     """
     omega = _require_range(spec, n)
-    _require_assumption(spec)
+    if table is None:
+        table = _arc_table(spec)
+    _require_assumption(spec, table)
     backend = get_backend(precision)
-    table = _arc_table(spec)
     L = spec.L
-    bessels: dict[tuple[int, int, int], LogComplex] = {}
+    members = list(members)
+    for kappa, ell, _ in members:
+        D = math.gcd(ell, L)
+        if table[D][kappa % D][0] <= 0:
+            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
+    step = 6 * L * n
+    sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell, backend)
+            for (k, ell), terms in _level_terms(spec, members, backend).items()}
+    bessels: dict[tuple[int, int], LogComplex] = {}
     terms = []
     w = float(24 * n + omega)
     for kappa, ell, k in members:
-        D = math.gcd(ell, L)
-        dv = table[D][kappa % D][0]
-        if dv.numerator <= 0:
-            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
-        hs = backend.to_complex(_h_sum(spec, n, kappa, ell, k, backend))
+        hs = backend.to_complex(sums[k, ell].get(kappa, 0))
         if hs == 0:
             continue
-        key = (D, kappa % D, k)
-        factor = bessels.get(key)
+        D = math.gcd(ell, L)
+        dn = table[D][kappa % D][0]
+        factor = bessels.get((dn, k))
         if factor is None:
-            x = math.pi * math.sqrt(float(dv) * w) / (6 * k)
+            dv = dn / L
+            x = math.pi * math.sqrt(dv * w) / (6 * k)
             pref = LogComplex.from_log_real(
-                math.log(2 * math.pi / k) + 0.5 * math.log(float(dv) / w))
-            factor = bessels[key] = pref * bessel_I_minus1(x, precision)
+                math.log(2 * math.pi / k) + 0.5 * math.log(dv / w))
+            factor = bessels[dn, k] = pref * bessel_I_minus1(x, precision)
         terms.append(factor * LogComplex.from_complex(hs))
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
     total = logc_sum(terms)
@@ -569,8 +600,9 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
     Sums over every major-arc class and every k <= K congruent to the
     class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
     result is a LogComplex whose imaginary part is pure numerical noise.
-    :func:`g_asymptotic_members` checks the hypothesis inequality once,
-    before the arcs are classified (once) to generate its members.
+    The divisor-cell table is built once; :func:`g_asymptotic_members`
+    checks the hypothesis inequality on it before the members of each
+    level k, the classes in its positive cells, are generated from it.
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -578,11 +610,18 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
     if K is None:
         K = default_K(spec, n)
     L = spec.L
+    table = _arc_table(spec)
 
     def members():
-        by_ell = _positive_classes(spec)
+        positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
         for k in range(1, K + 1):
-            for cls in by_ell.get((k - 1) % L + 1, ()):
-                yield cls.kappa, cls.ell, k
+            ell = (k - 1) % L + 1
+            kappas = positive.get(ell)
+            if kappas is None:
+                D = math.gcd(ell, L)
+                kappas = positive[ell] = [kappa for c, (dn, _) in enumerate(table[D])
+                                          if dn > 0 for kappa in range(c, ell, D)]
+            for kappa in kappas:
+                yield kappa, ell, k
 
-    return g_asymptotic_members(spec, n, members(), precision)
+    return g_asymptotic_members(spec, n, members(), precision, table)

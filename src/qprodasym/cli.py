@@ -67,7 +67,10 @@ def parse_spec(tokens: list[str]) -> ProductSpec:
 def _out_stream(path: str | None):
     if path is None:
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _frac(x: Fraction) -> str:
@@ -134,6 +137,8 @@ def cmd_asym(args) -> int:
 def cmd_compare(args) -> int:
     spec = parse_spec(args.spec)
     n_values = [int(s) for s in args.n_list.split(",") if s]
+    if not n_values:
+        raise ValueError(f"--n-list names no n: {args.n_list!r}")
     rows = analysis.compare(spec, n_values, args.K, precision=args.precision)
     with _out_stream(args.out) as out:
         if args.format == "json":

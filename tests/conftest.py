@@ -1,5 +1,6 @@
-"""Shared fixtures: the three benchmark product specifications and a
-random-spec generator used by the cross-validation suites.
+"""Shared fixtures: the three benchmark product specifications, a
+random-spec generator used by the cross-validation suites, and the
+per-member h-sum oracle of the main sum.
 """
 
 import math
@@ -8,6 +9,8 @@ import random
 import pytest
 
 from qprodasym import ProductSpec
+from qprodasym.arith import coprime_residues
+from qprodasym.asymptotics import _arc_kernel, _pi_value, _unit
 
 # 1/(q, q^4; q^5)_inf — partitions into parts = +-1 mod 5
 P5 = ProductSpec((5,), (1,), (-1,))
@@ -57,3 +60,36 @@ def random_farey(rng: random.Random, k_max: int = 20) -> tuple[int, int]:
         hs = [h for h in range(k) if math.gcd(h, k) == 1]
         if hs:
             return rng.choice(hs), k
+
+
+# -- the per-member oracle of the main sum ----------------------------------
+# One (kappa, ell, k) member at a time, through the shared helpers _pi_value
+# and _unit: the level pass of the package must give each member's h-sum
+# bit for bit.
+
+def member_kernel(spec, kappa, ell, k):
+    """_arc_kernel over the admissible h of one member: h coprime to k with
+    h = kappa (mod ell), increasing."""
+    if math.gcd(kappa, ell, k) > 1:
+        return []
+    return _arc_kernel(spec, k, coprime_residues(k, kappa, ell))
+
+
+def h_terms(spec, kappa, ell, k, backend):
+    """(h, phase numerator, Pi_{h,k}) over the admissible h of one member."""
+    return [(h, num, _pi_value(pi, backend))
+            for h, num, pi in member_kernel(spec, kappa, ell, k)]
+
+
+def sum_terms(terms, step, D, backend):
+    """Sum of _unit(num - step h, D) Pi over `terms`, in order."""
+    total = backend.complex_(0)
+    for h, num, pi in terms:
+        total += _unit(num - step * h, D, backend) * pi
+    return total
+
+
+def h_sum(spec, n, kappa, ell, k, backend):
+    """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
+    return sum_terms(h_terms(spec, kappa, ell, k, backend),
+                     6 * spec.L * n, 3 * spec.L * k, backend)

@@ -14,7 +14,7 @@ from qprodasym import (HypothesisError, NoMajorArcsError, ProductSpec,
                        expand_spec, leading_profile, sign_check)
 from qprodasym.analysis import compare_to_csv, compare_to_json
 
-from conftest import P5, RR, TG
+from conftest import P5, RR, TG, h_sum
 
 # G = (q, q; q^2)_inf / (q, q; q^2)_inf = 1: every Delta cancels exactly
 IDENTITY = ProductSpec((2, 2), (1, 1), (1, -1))
@@ -106,7 +106,6 @@ class TestLeadingProfile:
     def test_amplitudes_periodic(self):
         # recomputing at n0 + P reproduces the same amplitudes
         from qprodasym._backend import DOUBLE
-        from qprodasym.asymptotics import _h_sum as h_sum
         verdict = leading_profile(TG)
         P = verdict.modulus
         levels = dominant_levels(TG, 1)

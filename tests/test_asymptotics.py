@@ -19,11 +19,12 @@ from qprodasym import asymptotics
 from qprodasym._backend import DOUBLE
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum, upsilon,
-                                   _arc_phase, _bessel_i1_asym_log,
-                                   _bessel_i1_series_log, _h_sum,
-                                   _member_kernel)
+                                   _arc_phase, _arc_table, _bessel_i1_asym_log,
+                                   _bessel_i1_series_log, _level_sums,
+                                   _level_terms)
 
-from conftest import P5, RR, TG, random_farey, random_spec
+from conftest import (P5, RR, TG, h_sum, member_kernel, random_farey,
+                      random_spec)
 
 # expected positive-class (major-arc) lists for the three benchmark specs
 P5_POSITIVE = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
@@ -178,13 +179,13 @@ class TestArcTable:
                                                   (-1, -1, -1))], ids=str)
     def test_one_delta_per_divisor_cell(self, spec, monkeypatch):
         calls = []
-        real = asymptotics.delta_arc
+        real = asymptotics._delta_num
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(asymptotics, "delta_arc", counted)
+        monkeypatch.setattr(asymptotics, "_delta_num", counted)
         classify_arcs(spec)
         assert len(calls) <= _sigma(spec.L)
         calls.clear()
@@ -311,7 +312,7 @@ class TestArcKernel:
             assert tuple((Fraction(x, den), d) for x, den, d in pi) == expected[4]
             # the same arc inside the kernel of a member that contains it
             ell = 1 + (h + k) % k
-            member = {hh: (nn, pp) for hh, nn, pp in _member_kernel(spec, h % ell, ell, k)}
+            member = {hh: (nn, pp) for hh, nn, pp in member_kernel(spec, h % ell, ell, k)}
             assert member[h] == (num, pi)
             checked += 1
         assert overridden > 100
@@ -335,9 +336,9 @@ class TestArcKernel:
                 expected = [fraction_arc_datum(spec, h, k) for h in hs]
             except AssertionError:
                 with pytest.raises(AssertionError):
-                    _member_kernel(spec, kappa, ell, k)
+                    member_kernel(spec, kappa, ell, k)
                 continue
-            kernel = _member_kernel(spec, kappa, ell, k)
+            kernel = member_kernel(spec, kappa, ell, k)
             assert [h for h, _, _ in kernel] == hs
             for (h, num, pi), exp in zip(kernel, expected):
                 assert 0 <= num < 6 * spec.L * k
@@ -347,10 +348,13 @@ class TestArcKernel:
         assert arcs > 2000
 
     def test_member_without_admissible_h(self):
-        # gcd(kappa, ell, k) > 1 divides every h = kappa (mod ell) and k
+        # gcd(kappa, ell, k) > 1 divides every h = kappa (mod ell) and k:
+        # the level pass walks the member's cell and gives it no sum
         for kappa, ell, k in ((0, 2, 4), (2, 4, 6), (3, 6, 9), (0, 10, 10)):
             assert list(coprime_residues(k, kappa, ell)) == []
-            assert _member_kernel(TG, kappa, ell, k) == []
+            assert member_kernel(TG, kappa, ell, k) == []
+            terms = _level_terms(TG, [(kappa, ell, k)], DOUBLE)[k, ell]
+            assert kappa not in _level_sums(terms, 0, 3 * TG.L * k, ell, DOUBLE)
 
     def test_h_sum_builds_no_fraction(self, monkeypatch):
         made = []
@@ -360,12 +364,91 @@ class TestArcKernel:
             made.append(args)
             return new(cls, *args, **kwargs)
 
+        members = [(kappa, ell, k) for kappa, ell in TG_POSITIVE
+                   for k in range(ell, 61, TG.L)]
         monkeypatch.setattr(Fraction, "__new__", counting)
-        total = sum(_h_sum(TG, 1468, kappa, ell, k, DOUBLE)
-                    for kappa, ell in TG_POSITIVE for k in range(ell, 61, TG.L))
+        sums = [_level_sums(terms, 6 * TG.L * 1468, 3 * TG.L * k, ell, DOUBLE)
+                for (k, ell), terms in _level_terms(TG, members, DOUBLE).items()]
         monkeypatch.undo()
         assert made == []
-        assert total != 0
+        assert sum(v for level in sums for v in level.values()) != 0
+
+
+def _level_pass(spec, n, members, backend):
+    """{member: h-sum} of the level pass over `members`."""
+    L = spec.L
+    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell, backend)
+            for (k, ell), terms in _level_terms(spec, members, backend).items()}
+    return {(kappa, ell, k): sums[k, ell].get(kappa)
+            for kappa, ell, k in members}
+
+
+def _main_sum_members(spec, k_max):
+    """Every (kappa, ell, k) with k <= k_max and ell = (k - 1) mod L + 1
+    whose divisor cell has positive Delta: the members of the main sum."""
+    table = _arc_table(spec)
+    L = spec.L
+    out = []
+    for k in range(1, k_max + 1):
+        ell = (k - 1) % L + 1
+        D = math.gcd(ell, L)
+        out += [(kappa, ell, k) for kappa in range(ell) if table[D][kappa % D][0] > 0]
+    return out
+
+
+class TestLevelPass:
+    """The per-level h-sums equal the per-member oracle bit for bit."""
+
+    @staticmethod
+    def _check(spec, n, members, backend=DOUBLE):
+        try:
+            got = _level_pass(spec, n, members, backend)
+        except AssertionError:
+            # an integer Pi exponent: the oracle refuses the spec too
+            with pytest.raises(AssertionError):
+                for kappa, ell, k in members:
+                    h_sum(spec, n, kappa, ell, k, backend)
+            return 0
+        compared = 0
+        for kappa, ell, k in members:
+            oracle = h_sum(spec, n, kappa, ell, k, backend)
+            value = got[kappa, ell, k]
+            if value is None:
+                # no admissible h: the oracle adds nothing
+                assert member_kernel(spec, kappa, ell, k) == []
+                assert oracle == 0
+                continue
+            assert value == oracle
+            assert repr(backend.to_complex(value)) == repr(backend.to_complex(oracle))
+            compared += 1
+        return compared
+
+    @pytest.mark.parametrize("spec", [TG, ProductSpec((60,), (5,), (-1,))], ids=str)
+    def test_main_sum_members(self, spec):
+        members = _main_sum_members(spec, 200)
+        assert self._check(spec, 1468, members) > len(members) // 2
+
+    def test_random_specs(self):
+        # every class of every level k <= 200 (positive or not), at a random n
+        rng = random.Random(61)
+        compared = 0
+        for _ in range(12):
+            spec = random_spec(rng, max_j=3, max_m=12)
+            members = [(kappa, (k - 1) % spec.L + 1, k) for k in range(1, 201)
+                       for kappa in range((k - 1) % spec.L + 1)]
+            compared += self._check(spec, rng.randint(1, 5000), members)
+        assert compared > 5000
+
+    def test_explicit_subset_and_duplicates(self):
+        # a part of a level's classes, a class listed twice, and a class
+        # whose ell is not the level of k
+        members = [(2, 5, 5), (3, 5, 5), (2, 5, 5), (1, 3, 17), (0, 4, 9)]
+        assert self._check(RR, 321, members) == len(members)
+
+    def test_extended_precision(self):
+        from qprodasym._backend import get_backend
+        members = _main_sum_members(TG, 60)
+        assert self._check(TG, 1000, members, get_backend("extended")) > 0
 
 
 class TestLogComplex:
@@ -479,7 +562,9 @@ class TestGAsymptotic:
             g_asymptotic(ProductSpec((2,), (1,), (-13,)), 100)
 
     def test_hypotheses_checked_once(self, monkeypatch):
-        calls = {"check": 0, "classify": 0}
+        # one divisor-cell table per call, read by the check and the level
+        # pass; no full classification
+        calls = {"table": 0, "check": 0, "classify": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -487,12 +572,14 @@ class TestGAsymptotic:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(asymptotics, "_arc_table",
+                            counted("table", asymptotics._arc_table))
         monkeypatch.setattr(asymptotics, "check_assumption",
                             counted("check", asymptotics.check_assumption))
         monkeypatch.setattr(asymptotics, "classify_arcs",
                             counted("classify", asymptotics.classify_arcs))
         asymptotics.g_asymptotic(TG, 400)
-        assert calls == {"check": 1, "classify": 1}
+        assert calls == {"table": 1, "check": 1, "classify": 0}
 
     def test_retains_no_arc_data(self):
         # the per-member kernels live only inside the call

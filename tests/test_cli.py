@@ -89,13 +89,13 @@ class TestArcs:
         # L = 504 has 127,260 classes but sigma(504) = 1560 divisor cells;
         # classify_arcs and check_assumption each build one table
         calls = []
-        real = asymptotics.delta_arc
+        real = asymptotics._delta_num
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(asymptotics, "delta_arc", counted)
+        monkeypatch.setattr(asymptotics, "_delta_num", counted)
         code, out, _ = run(capsys, "arcs", "7:1:-1", "8:1:-1", "9:1:-1",
                            "--format", "json")
         assert code == 0
@@ -145,6 +145,15 @@ class TestAsym:
         (("60:5:-1", "--n", "2610"),
          '{"K":127,"imag_over_real":"0","log_abs":"18.2734591751286",'
          '"n":2610,"sign":1}'),
+        (("30:2:-1", "--n", "1434"),
+         '{"K":94,"imag_over_real":"0","log_abs":"19.3505104178466",'
+         '"n":1434,"sign":1}'),
+        (("12:5:-1", "--n", "1434"),
+         '{"K":94,"imag_over_real":"0","log_abs":"31.9532341955559",'
+         '"n":1434,"sign":1}'),
+        (("5:2:-2", "10:2:1", "10:4:2", "--n", "1000", "--precision", "extended"),
+         '{"K":79,"imag_over_real":"0","log_abs":"30.6596203079482",'
+         '"n":1000,"sign":1}'),
     ])
     def test_golden_stdout(self, capsys, argv, expected):
         # pinned to the output of the Fraction phase assembly, bit for bit
@@ -194,6 +203,13 @@ class TestCompare:
             '"rel_error":"-2.21586304860466e-10"},'
             '{"exact":"5993121914765","log_abs_asym":"29.4216335800585",'
             '"log_abs_exact":"29.4216335800585","n":1000,"rel_error":"0"}]\n')
+
+    @pytest.mark.parametrize("n_list", [",", ",,"])
+    def test_empty_n_list_exit_code(self, capsys, n_list):
+        code, out, err = run(capsys, "compare", "5:1:-1", "--n-list", n_list)
+        assert code == 1
+        assert out == ""
+        assert "--n-list" in err
 
     def test_n_out_of_range_exit_code(self, capsys):
         # same exit code as asym for an n outside n > -Omega/24
@@ -274,6 +290,7 @@ class TestHypothesisFailsFast:
             raise AssertionError("ran after a failed hypothesis check")
 
         monkeypatch.setattr(asymptotics, "classify_arcs", refuse)
+        monkeypatch.setattr(asymptotics, "_arc_kernel", refuse)
         monkeypatch.setattr(analysis, "classify_arcs", refuse)
         monkeypatch.setattr(analysis, "expand_spec", refuse)
         code, out, err = run(capsys, argv[0], *self.SPEC, *argv[1:])
@@ -338,6 +355,24 @@ class TestTransformTest:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "5:1:-1", "--order", "5"),
+        ("arcs", "5:1:-1"),
+        ("asym", "5:1:-1", "--n", "100"),
+        ("compare", "5:1:-1", "--n-list", "100"),
+        ("analyze", "5:1:-1"),
+        ("signs", "5:1:-1", "--mod", "5", "--range", "0..20"),
+        ("transform-test", "5:1:-1", "--samples", "1"),
+    ], ids=lambda a: a[0])
+    def test_out_into_missing_directory(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qprodasym: error: ") and err.count("\n") == 1
+        assert str(target) in err
+        assert not target.parent.exists()
+
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "expand", "5:9:1", "--order", "5")
         assert code == 1
