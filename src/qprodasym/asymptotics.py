@@ -477,29 +477,25 @@ def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
     h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
     D = gcd(ell, L).  Each level walks every h of its members' cells once,
     increasing within a cell, and runs one :func:`_arc_kernel` pass over
-    them.  The phase stays exact (an integer over 3 L k); Pi, which does
-    not depend on n, is evaluated here with the float operations of
-    :func:`_pi_value`.
+    them.  The phase stays exact (an integer over 3 L k).  Pi does not
+    depend on n, and it takes few values: m_j hbar h = -g (mod k) leaves
+    at most g = gcd(m_j, k) exponents per factor and level.  So each
+    distinct factor tuple is evaluated once by :func:`_pi_value`.
     """
     L = spec.L
     cells: dict[tuple[int, int], set[int]] = {}
     for kappa, ell, k in members:
         cells.setdefault((k, ell), set()).add(kappa % math.gcd(ell, L))
-    one = backend.complex_(1)
-    exp, ratio = backend.exp, backend.ratio
-    turn = 2 * backend.j * backend.pi
+    pis = {}
     levels = {}
     for (k, ell), cs in cells.items():
         D = math.gcd(ell, L)
         hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
         terms = levels[k, ell] = []
         for h, num, factors in _arc_kernel(spec, k, hs):
-            pi = one
-            for x, den, d in factors:
-                f = 1 - exp(turn * ratio(x, den))
-                if f == 0:
-                    raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
-                pi *= f ** d
+            pi = pis.get(factors)
+            if pi is None:
+                pi = pis[factors] = _pi_value(factors, backend)
             terms.append((h, num, pi))
     return levels
 
