@@ -109,7 +109,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and
         # Pi values are shared by all residues n0
-        arcs = _level_terms(spec, level.members, backend)
+        arcs = dict(_level_terms(spec, level.members, backend))
         present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
                    for h, _, _ in terms}
         contributing = [m for m in level.members if m in present]

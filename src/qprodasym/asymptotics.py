@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._backend import DOUBLE, get_backend
 from .arith import gcd0, hbar, inverse_dedekind6
@@ -470,8 +470,9 @@ def default_K(spec: ProductSpec, n: int) -> int:
 
 
 def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
-                 backend) -> dict[tuple[int, int], list]:
-    """(h, phase numerator, Pi_{h,k}) per level (k, ell) of `members`.
+                 backend) -> Iterator[tuple[tuple[int, int], list]]:
+    """Yield ((k, ell), [(h, phase numerator, Pi_{h,k})]) per level of
+    `members`, one level at a time, so that only one level's arcs are held.
 
     A class (kappa, ell) at k sums over the h coprime to k with
     h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
@@ -487,17 +488,16 @@ def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
     for kappa, ell, k in members:
         cells.setdefault((k, ell), set()).add(kappa % math.gcd(ell, L))
     pis = {}
-    levels = {}
     for (k, ell), cs in cells.items():
         D = math.gcd(ell, L)
         hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
-        terms = levels[k, ell] = []
+        terms = []
         for h, num, factors in _arc_kernel(spec, k, hs):
             pi = pis.get(factors)
             if pi is None:
                 pi = pis[factors] = _pi_value(factors, backend)
             terms.append((h, num, pi))
-    return levels
+        yield (k, ell), terms
 
 
 def _level_sums(terms, step: int, D: int, ell: int, backend) -> dict:
@@ -566,7 +566,7 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
             raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
     step = 6 * L * n
     sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell, backend)
-            for (k, ell), terms in _level_terms(spec, members, backend).items()}
+            for (k, ell), terms in _level_terms(spec, members, backend)}
     bessels: dict[tuple[int, int], LogComplex] = {}
     terms = []
     w = float(24 * n + omega)

@@ -353,7 +353,7 @@ class TestArcKernel:
         for kappa, ell, k in ((0, 2, 4), (2, 4, 6), (3, 6, 9), (0, 10, 10)):
             assert list(coprime_residues(k, kappa, ell)) == []
             assert member_kernel(TG, kappa, ell, k) == []
-            terms = _level_terms(TG, [(kappa, ell, k)], DOUBLE)[k, ell]
+            terms = dict(_level_terms(TG, [(kappa, ell, k)], DOUBLE))[k, ell]
             assert kappa not in _level_sums(terms, 0, 3 * TG.L * k, ell, DOUBLE)
 
     def test_h_sum_builds_no_fraction(self, monkeypatch):
@@ -368,7 +368,7 @@ class TestArcKernel:
                    for k in range(ell, 61, TG.L)]
         monkeypatch.setattr(Fraction, "__new__", counting)
         sums = [_level_sums(terms, 6 * TG.L * 1468, 3 * TG.L * k, ell, DOUBLE)
-                for (k, ell), terms in _level_terms(TG, members, DOUBLE).items()]
+                for (k, ell), terms in _level_terms(TG, members, DOUBLE)]
         monkeypatch.undo()
         assert made == []
         assert sum(v for level in sums for v in level.values()) != 0
@@ -378,7 +378,7 @@ def _level_pass(spec, n, members, backend):
     """{member: h-sum} of the level pass over `members`."""
     L = spec.L
     sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell, backend)
-            for (k, ell), terms in _level_terms(spec, members, backend).items()}
+            for (k, ell), terms in _level_terms(spec, members, backend)}
     return {(kappa, ell, k): sums[k, ell].get(kappa)
             for kappa, ell, k in members}
 
@@ -588,10 +588,13 @@ class TestGAsymptotic:
         tracemalloc.start()
         try:
             g_asymptotic(P5, 20000)
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert retained < 1_000_000
+        # the level pass holds one level's arcs at a time (about 0.5 MB
+        # here; all 354 levels at once take 4 MB)
+        assert peak < 1_500_000
 
     @pytest.mark.parametrize("K", [0, -3])
     def test_rejects_nonpositive_K(self, K):
