@@ -28,10 +28,6 @@ class DoubleBackend:
         return cmath.log(z) if isinstance(z, complex) else math.log(z)
 
     @staticmethod
-    def sqrt(z):
-        return cmath.sqrt(z) if isinstance(z, complex) else math.sqrt(z)
-
-    @staticmethod
     def real(x):
         """Convert an exact number (int/Fraction) to the backend real type."""
         return float(x)
@@ -73,7 +69,6 @@ class ExtendedBackend:
         self.eps = self.mp.mpf(10) ** (-dps - 5)
         self.exp = self.mp.exp
         self.log = self.mp.log
-        self.sqrt = self.mp.sqrt
 
     def real(self, x):
         if isinstance(x, Fraction):

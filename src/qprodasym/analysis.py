@@ -15,9 +15,9 @@ from typing import IO, Sequence
 
 from ._backend import get_backend
 from .arith import lcm_all
-from .asymptotics import (HypothesisError, PhaseExponent, _level_sums,
-                          _level_terms, _require_assumption, classify_arcs,
-                          g_asymptotic, omega_big)
+from .asymptotics import (HypothesisError, PhaseExponent, _arc_table,
+                          _level_sums, _level_terms, _major_classes,
+                          _require_assumption, g_asymptotic, omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -39,24 +39,25 @@ class DominantLevel:
         return math.sqrt(float(self.ratio_squared))
 
 
-def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
+def dominant_levels(spec: ProductSpec, depth: int, table=None) -> list[DominantLevel]:
     """The `depth` largest distinct values of sqrt(Delta)/k over major arcs.
 
     Enumeration terminates because sqrt(Delta)/k decreases in k; whether a
     member actually contributes (existence of an admissible h) is decided
-    later, when terms are summed.
+    later, when terms are summed.  `table` defaults to :func:`_arc_table`.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    positive, _ = classify_arcs(spec)
-    if not positive:
-        raise NoMajorArcsError("no major arcs: every class has Delta <= 0")
+    if table is None:
+        table = _arc_table(spec)
     L = spec.L
     # k-way merge over the per-class sequences k = ell, ell + L, ...; each
     # sequence is strictly decreasing in sqrt(Delta)/k, so a heap pop order
     # enumerates values globally in decreasing order.
-    heap = [(-cls.delta_value / (cls.ell ** 2), cls.kappa, cls.ell, cls.ell)
-            for cls in positive]
+    heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell) for ell in range(1, L + 1)
+            for kappa, dn in _major_classes(table, L, ell)]
+    if not heap:
+        raise NoMajorArcsError("no major arcs: every class has Delta <= 0")
     heapq.heapify(heap)
     buckets: dict[Fraction, list[tuple[int, int, int]]] = {}
     while heap:
@@ -79,7 +80,7 @@ class ResidueVerdict:
 
     `signs[rho]` is 'positive', 'negative' or 'vanishing'; amplitudes carry
     the real value of the n-periodic factor at each residue.  A vanishing
-    verdict is numerical evidence, not a proof.
+    verdict is numerical evidence, not a proof.  `levels` are those examined.
     """
 
     modulus: int
@@ -87,6 +88,7 @@ class ResidueVerdict:
     amplitudes: tuple[float, ...]
     level_index: int
     inconclusive: bool = False
+    levels: tuple[DominantLevel, ...] = ()
 
 
 def leading_profile(spec: ProductSpec, depth: int = 3,
@@ -101,9 +103,10 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    _require_assumption(spec)
+    table = _arc_table(spec)
+    _require_assumption(spec, table)
     backend = get_backend(precision)
-    levels = dominant_levels(spec, depth)
+    levels = tuple(dominant_levels(spec, depth, table))
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
     L = spec.L
     for idx, level in enumerate(levels):
@@ -134,8 +137,9 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
         signs = tuple("vanishing" if abs(a) < cutoff
                       else ("positive" if a > 0 else "negative")
                       for a in amps)
-        return ResidueVerdict(P, signs, tuple(amps), idx)
-    return ResidueVerdict(1, ("vanishing",), (0.0,), len(levels), inconclusive=True)
+        return ResidueVerdict(P, signs, tuple(amps), idx, levels=levels)
+    return ResidueVerdict(1, ("vanishing",), (0.0,), len(levels), inconclusive=True,
+                          levels=levels)
 
 
 @dataclass(frozen=True)

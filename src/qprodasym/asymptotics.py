@@ -6,14 +6,10 @@ classification of Farey arcs, the hypothesis inequality, exact phase
 assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
 
-The main sum builds the exact data of its arcs per Farey level k,
-inside the call: one kernel pass per k over every admissible h, with the
-constants of each (m_j, k) computed once and the modular inverse and
-Dedekind sum of each arc from one Euclid pass per distinct modulus; each
-h is added into the sum of its class h mod ell.  The divisor-cell table
-of Delta and the hypothesis bound is built once per call.  Nothing is
-cached across calls, so memory does not grow with n or with the number
-of calls.
+The main sum makes one kernel pass per Farey level k over its admissible
+h, on one divisor-cell table of Delta and the hypothesis bound per call.
+Nothing is cached across calls, so memory does not grow with n or with
+the number of calls.
 """
 
 from __future__ import annotations
@@ -81,17 +77,6 @@ def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     return Fraction(_delta_num(spec, kappa, ell), spec.L)
 
 
-def upsilon(x: Fraction) -> Fraction:
-    """1 at 0, x on (0, 1/2], 1 - x on (1/2, 1)."""
-    if not 0 <= x < 1:
-        raise ValueError("need 0 <= x < 1")
-    if x == 0:
-        return Fraction(1)
-    if x <= Fraction(1, 2):
-        return x
-    return 1 - x
-
-
 @dataclass(frozen=True)
 class ArcClass:
     """A residue class (kappa, ell) of Farey fractions, with its Delta."""
@@ -129,12 +114,21 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
             for D in range(1, spec.L + 1) if spec.L % D == 0}
 
 
-def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
+def _major_classes(table, L: int, ell: int) -> list[tuple[int, int]]:
+    """(kappa, L Delta) of the classes of level ell in the positive cells
+    of `table`, cell by cell."""
+    D = math.gcd(ell, L)
+    return [(kappa, dn) for c, (dn, _) in enumerate(table[D]) if dn > 0
+            for kappa in range(c, ell, D)]
+
+
+def classify_arcs(spec: ProductSpec, table=None
+                  ) -> tuple[list[ArcClass], list[ArcClass]]:
     """Partition {(kappa, ell) : 1 <= ell <= L, 0 <= kappa < ell} by sign of Delta.
 
     Returns (positive, nonpositive), each ordered by ell, then kappa; ties
     Delta = 0 go to the nonpositive set.  Delta is read off the divisor
-    cells of :func:`_arc_table`.
+    cells of `table` (default: :func:`_arc_table`).
     """
     L = spec.L
     positive: list[ArcClass] = []
@@ -142,7 +136,7 @@ def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     # per cell, Delta and the list its classes go to
     targets = {D: [(Fraction(dn, L), positive if dn > 0 else nonpositive)
                    for dn, _ in cells]
-               for D, cells in _arc_table(spec).items()}
+               for D, cells in (table or _arc_table(spec)).items()}
     for ell in range(1, L + 1):
         cells = targets[math.gcd(ell, L)]
         D = len(cells)
@@ -359,20 +353,10 @@ class LogComplex:
 
     @classmethod
     def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls(float("-inf"), 0.0)
-        return cls(math.log(abs(z)), cmath.phase(z))
-
-    @classmethod
-    def from_log_real(cls, log_mag: float) -> "LogComplex":
-        return cls(float(log_mag), 0.0)
+        return cls(*_polar(complex(z)))
 
     def __mul__(self, other: "LogComplex") -> "LogComplex":
-        arg = self.arg + other.arg
-        # wrap into (-pi, pi]
-        arg = math.remainder(arg, 2 * math.pi)
-        return LogComplex(self.log_mag + other.log_mag, arg)
+        return LogComplex(*_times((self.log_mag, self.arg), (other.log_mag, other.arg)))
 
     def to_complex(self) -> complex:
         return cmath.rect(math.exp(self.log_mag), self.arg)
@@ -392,18 +376,32 @@ class LogComplex:
         return abs(math.tan(self.arg))
 
 
-def logc_sum(terms: list[LogComplex]) -> LogComplex:
-    """Sum of LogComplex terms by max-factoring with compensated summation."""
-    terms = [t for t in terms if t.log_mag != float("-inf")]
+def _polar(z: complex) -> tuple[float, float]:
+    """(log |z|, arg z), with arg z in [-pi, pi]; (-inf, 0) at z = 0."""
+    if z == 0:
+        return float("-inf"), 0.0
+    return math.log(abs(z)), cmath.phase(z)
+
+
+def _times(a, b) -> tuple[float, float]:
+    """Product of (log-magnitude, argument) pairs, argument in [-pi, pi]."""
+    return a[0] + b[0], math.remainder(a[1] + b[1], 2 * math.pi)
+
+
+def logc_sum(terms: Iterable[tuple[float, float]]) -> LogComplex:
+    """Sum of (log-magnitude, argument) pairs by max-factoring with
+    compensated summation."""
+    terms = [t for t in terms if t[0] != float("-inf")]
     if not terms:
         return LogComplex(float("-inf"), 0.0)
-    top = max(t.log_mag for t in terms)
-    re = math.fsum(math.exp(t.log_mag - top) * math.cos(t.arg) for t in terms)
-    im = math.fsum(math.exp(t.log_mag - top) * math.sin(t.arg) for t in terms)
-    s = complex(re, im)
-    if s == 0:
-        return LogComplex(float("-inf"), 0.0)
-    return LogComplex(top + math.log(abs(s)), cmath.phase(s))
+    top = max(lm for lm, _ in terms)
+    re, im = [], []
+    for lm, arg in terms:
+        a = math.exp(lm - top)
+        re.append(a * math.cos(arg))
+        im.append(a * math.sin(arg))
+    lm, arg = _polar(complex(math.fsum(re), math.fsum(im)))
+    return LogComplex(top + lm, arg)
 
 
 _BESSEL_SPLIT = 25.0
@@ -457,7 +455,7 @@ def bessel_I_minus1(x: float, precision: str = "double") -> LogComplex:
         lm = _bessel_i1_series_log(xb, backend)
     else:
         lm = _bessel_i1_asym_log(xb, backend)
-    return LogComplex.from_log_real(float(lm))
+    return LogComplex(float(lm), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +549,8 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
     gives the h-sums of all its members.  Each class's Delta is read from
     its divisor cell of :func:`_arc_table` (built here unless the caller
     passes it as `table`); the factor pref * I_{-1}(x), which depends on
-    Delta and k only, is evaluated once per (Delta, k).
+    Delta and k only, is evaluated once per (Delta, k).  Terms are float
+    (log-magnitude, argument) pairs.
     """
     omega = _require_range(spec, n)
     if table is None:
@@ -567,7 +566,7 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
     step = 6 * L * n
     sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell, backend)
             for (k, ell), terms in _level_terms(spec, members, backend)}
-    bessels: dict[tuple[int, int], LogComplex] = {}
+    bessels: dict[tuple[int, int], tuple[float, float]] = {}
     terms = []
     w = float(24 * n + omega)
     for kappa, ell, k in members:
@@ -580,10 +579,11 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
         if factor is None:
             dv = dn / L
             x = math.pi * math.sqrt(dv * w) / (6 * k)
-            pref = LogComplex.from_log_real(
-                math.log(2 * math.pi / k) + 0.5 * math.log(dv / w))
-            factor = bessels[dn, k] = pref * bessel_I_minus1(x, precision)
-        terms.append(factor * LogComplex.from_complex(hs))
+            bessel = bessel_I_minus1(x, precision)
+            factor = bessels[dn, k] = _times(
+                (math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0),
+                (bessel.log_mag, bessel.arg))
+        terms.append(_times(factor, _polar(hs)))
     front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
     total = logc_sum(terms)
     return LogComplex.from_complex(complex(front.to_complex())) * total
@@ -599,6 +599,7 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
     The divisor-cell table is built once; :func:`g_asymptotic_members`
     checks the hypothesis inequality on it before the members of each
     level k, the classes in its positive cells, are generated from it.
+    Classes with gcd(kappa, ell, k) > 1 have no admissible h and are skipped.
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -614,10 +615,10 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
             ell = (k - 1) % L + 1
             kappas = positive.get(ell)
             if kappas is None:
-                D = math.gcd(ell, L)
-                kappas = positive[ell] = [kappa for c, (dn, _) in enumerate(table[D])
-                                          if dn > 0 for kappa in range(c, ell, D)]
+                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(table, L, ell)]
+            g = math.gcd(ell, k)
             for kappa in kappas:
-                yield kappa, ell, k
+                if math.gcd(kappa, g) == 1:
+                    yield kappa, ell, k
 
     return g_asymptotic_members(spec, n, members(), precision, table)

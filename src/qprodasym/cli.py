@@ -17,7 +17,6 @@ import math
 import random
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 from . import analysis, asymptotics, transform
 from .analysis import _fmt
@@ -73,10 +72,6 @@ def _out_stream(path: str | None):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def cmd_expand(args) -> int:
     spec = parse_spec(args.spec)
     series = expand_spec(spec, args.order)
@@ -91,11 +86,12 @@ def cmd_expand(args) -> int:
 def cmd_arcs(args) -> int:
     spec = parse_spec(args.spec)
     omega = asymptotics.omega_big(spec)
-    positive, nonpositive = asymptotics.classify_arcs(spec)
-    ok, violations = asymptotics.check_assumption(spec)
+    table = asymptotics._arc_table(spec)
+    positive, nonpositive = asymptotics.classify_arcs(spec, table)
+    ok, violations = asymptotics.check_assumption(spec, table)
     doc = {
         "L": spec.L,
-        "Omega": _frac(omega),
+        "Omega": str(omega),
         "positive_classes": [[c.kappa, c.ell] for c in positive],
         "nonpositive_classes": [[c.kappa, c.ell] for c in nonpositive],
         "assumption": ok,
@@ -106,7 +102,7 @@ def cmd_arcs(args) -> int:
             out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
         else:
             out.write(f"L = {spec.L}\n")
-            out.write(f"Omega = {_frac(omega)}\n")
+            out.write(f"Omega = {omega}\n")
             out.write("positive classes: "
                       + ", ".join(f"({c.kappa},{c.ell})" for c in positive) + "\n")
             out.write(f"assumption satisfied: {ok}\n")
@@ -150,12 +146,11 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
-    # the profile checks the hypothesis inequality before any classification
+    # the profile checks the hypothesis inequality before it ranks the levels
     verdict = analysis.leading_profile(spec, args.depth, args.precision)
-    levels = analysis.dominant_levels(spec, args.depth)
     doc = {
         "levels": [{"value": _fmt(lv.value),
-                    "members": [list(m) for m in lv.members]} for lv in levels],
+                    "members": [list(m) for m in lv.members]} for lv in verdict.levels],
         "modulus": verdict.modulus,
         "signs": list(verdict.signs),
         "amplitudes": [_fmt(a) for a in verdict.amplitudes],
@@ -201,56 +196,56 @@ def cmd_transform_test(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+_K = {"--K": dict(type=int, default=None)}
+_PRECISION = {"--precision": dict(choices=["double", "extended"], default="double")}
+
+# name -> (handler, help, options after spec and --out)
+COMMANDS = {
+    "expand": (cmd_expand, "exact Taylor coefficients",
+               {"--order": dict(type=int, required=True),
+                "--format": dict(choices=["csv", "json"], default="csv")}),
+    "arcs": (cmd_arcs, "Omega, L, arc classes, hypothesis check",
+             {"--format": dict(choices=["text", "json"], default="text")}),
+    "asym": (cmd_asym, "truncated Bessel-series value",
+             {"--n": dict(type=int, required=True), **_K, **_PRECISION}),
+    "compare": (cmd_compare, "exact vs asymptotic table",
+                {"--n-list": dict(required=True, help="comma-separated n values"), **_K,
+                 "--format": dict(choices=["csv", "json"], default="csv"), **_PRECISION}),
+    "analyze": (cmd_analyze, "dominant levels and sign profile",
+                {"--depth": dict(type=int, default=3), **_PRECISION}),
+    "signs": (cmd_signs, "exact sign scan by residue class",
+              {"--mod": dict(type=int, required=True),
+               "--range": dict(required=True, help="inclusive range a..b")}),
+    "transform-test": (cmd_transform_test,
+                       "verify the arc transformation formula on random samples",
+                       {"--samples": dict(type=int, default=25),
+                        "--seed": dict(type=int, default=0), **_PRECISION}),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of `command` alone when it names one."""
     parser = _Parser(prog="qprodasym", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        fn, help_, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.add_argument("spec", nargs="+", help="m:r:delta triples")
         p.add_argument("--out", default=None, help="write output to FILE")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("expand", cmd_expand, help="exact Taylor coefficients")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = add("arcs", cmd_arcs, help="Omega, L, arc classes, hypothesis check")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = add("asym", cmd_asym, help="truncated Bessel-series value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--precision", choices=["double", "extended"], default="double")
-
-    p = add("compare", cmd_compare, help="exact vs asymptotic table")
-    p.add_argument("--n-list", required=True, help="comma-separated n values")
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--precision", choices=["double", "extended"], default="double")
-
-    p = add("analyze", cmd_analyze, help="dominant levels and sign profile")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--precision", choices=["double", "extended"], default="double")
-
-    p = add("signs", cmd_signs, help="exact sign scan by residue class")
-    p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--range", required=True, help="inclusive range a..b")
-
-    p = add("transform-test", cmd_transform_test,
-            help="verify the arc transformation formula on random samples")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=["double", "extended"], default="double")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # unrecognized arguments get the usage of the full parser
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SpecParseError as exc:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from ._backend import DOUBLE, get_backend
 from .arith import dedekind_sum_fast, gcd0, hbar
-from .asymptotics import (PhaseExponent, lambda_int, lambda_star, omega_big,
-                          _arc_phase, _unit)
+from .asymptotics import (PhaseExponent, lambda_int, omega_big, _arc_phase,
+                          _delta_num, _unit)
 from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
@@ -179,7 +179,8 @@ def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str =
 
     With z = k(rho - i phi) the straightened half-period is
     hbar d / k + i d^2/(m k z) and the elliptic argument picks up the
-    fractional shift lambda* d^2/(m k z).
+    fractional shift lambda* d^2/(m k z).  Each coefficient is one rounded
+    integer quotient.
     """
     B = get_backend(precision)
     z = B.native(z)
@@ -188,11 +189,12 @@ def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str =
     for m, r in zip(spec.m, spec.r):
         d = gcd0(m, k)
         lam = lambda_int(m, r, h, k)
-        ls = lambda_star(m, r, h, k)
         hb = hbar(m, h, k)
-        tau_t = B.real(Fraction(hb * d, k)) + B.real(Fraction(d * d, m * k)) * iz
-        sigma_t = (B.real(Fraction(r * d, m * k) + lam * Fraction(hb * d, k))
-                   + B.real(ls * Fraction(d * d, m * k)) * iz)
+        mk = m * k
+        # d lambda* = d lambda - r h
+        tau_t = B.ratio(hb * d, k) + B.ratio(d * d, mk) * iz
+        sigma_t = (B.ratio(r * d + lam * hb * d * m, mk)
+                   + B.ratio((lam * d - r * h) * d, mk) * iz)
         out.append((sigma_t, tau_t))
     return out
 
@@ -229,20 +231,9 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     num, _ = _arc_phase(spec, h, k)
     D = 3 * spec.L * k
     rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
-    omega = omega_big(spec)
-    dv = _delta_hk(spec, h, k)
-    rhs *= B.exp(B.pi / (12 * k) * (B.real(omega) * z + B.real(dv) / z))
+    # Delta at h/k is its class value, L Delta an integer
+    dv = B.ratio(_delta_num(spec, h, k), spec.L)
+    rhs *= B.exp(B.pi / (12 * k) * (B.real(omega_big(spec)) * z + dv / z))
     for (sigma_t, tau_t), d in zip(args, spec.delta):
         rhs *= eval_zh_point(sigma_t, tau_t, terms, precision) ** d
     return float(B.abs(lhs - rhs) / B.abs(lhs))
-
-
-def _delta_hk(spec: ProductSpec, h: int, k: int) -> Fraction:
-    """Delta evaluated at the Farey fraction itself (equals its class value)."""
-    total = Fraction(0)
-    for m, r, d in zip(spec.m, spec.r, spec.delta):
-        g = gcd0(m, k)
-        ls = lambda_star(m, r, h, k)
-        total += d * (Fraction(2 * g * g, m)
-                      + Fraction(12 * g * g, m) * (ls * ls - ls))
-    return -total

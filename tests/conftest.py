@@ -1,16 +1,23 @@
 """Shared fixtures: the three benchmark product specifications, a
-random-spec generator used by the cross-validation suites, and the
-per-member h-sum oracle of the main sum.
+random-spec generator used by the cross-validation suites, the per-member
+h-sum and LogComplex oracles of the main sum, and the Fraction forms of
+the transformation data.
 """
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from qprodasym import ProductSpec
-from qprodasym.arith import coprime_residues
-from qprodasym.asymptotics import _arc_kernel, _pi_value, _unit
+from qprodasym._backend import get_backend
+from qprodasym.arith import coprime_residues, gcd0, hbar
+from qprodasym.asymptotics import (LogComplex, PhaseExponent, _arc_kernel,
+                                   _arc_table, _level_sums, _level_terms,
+                                   _pi_value, _unit, bessel_I_minus1,
+                                   lambda_int, lambda_star, omega_big)
 
 # 1/(q, q^4; q^5)_inf — partitions into parts = +-1 mod 5
 P5 = ProductSpec((5,), (1,), (-1,))
@@ -93,3 +100,94 @@ def h_sum(spec, n, kappa, ell, k, backend):
     """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
     return sum_terms(h_terms(spec, kappa, ell, k, backend),
                      6 * spec.L * n, 3 * spec.L * k, backend)
+
+
+# -- the LogComplex oracle of the main sum ----------------------------------
+# The accumulation of g_asymptotic_members before its terms became float
+# pairs: one LogComplex per member with a nonzero h-sum, summed as
+# LogComplex objects.  The package must give the same floats.
+
+def logcomplex_sum(terms):
+    """Sum of LogComplex terms by max-factoring with compensated summation."""
+    terms = [t for t in terms if t.log_mag != float("-inf")]
+    if not terms:
+        return LogComplex(float("-inf"), 0.0)
+    top = max(t.log_mag for t in terms)
+    re = math.fsum(math.exp(t.log_mag - top) * math.cos(t.arg) for t in terms)
+    im = math.fsum(math.exp(t.log_mag - top) * math.sin(t.arg) for t in terms)
+    s = complex(re, im)
+    if s == 0:
+        return LogComplex(float("-inf"), 0.0)
+    return LogComplex(top + math.log(abs(s)), cmath.phase(s))
+
+
+def logcomplex_main_sum(spec, n, members, precision="double"):
+    """The main-term sum over explicit (kappa, ell, k) members, each term a
+    LogComplex: pref * I_-1(x) per (Delta, k) times the member's h-sum."""
+    backend = get_backend(precision)
+    table = _arc_table(spec)
+    L = spec.L
+    members = list(members)
+    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell, backend)
+            for (k, ell), terms in _level_terms(spec, members, backend)}
+    bessels = {}
+    terms = []
+    w = float(24 * n + omega_big(spec))
+    for kappa, ell, k in members:
+        hs = backend.to_complex(sums[k, ell].get(kappa, 0))
+        if hs == 0:
+            continue
+        D = math.gcd(ell, L)
+        dn = table[D][kappa % D][0]
+        factor = bessels.get((dn, k))
+        if factor is None:
+            dv = dn / L
+            x = math.pi * math.sqrt(dv * w) / (6 * k)
+            pref = LogComplex(math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0)
+            factor = bessels[dn, k] = pref * bessel_I_minus1(x, precision)
+        terms.append(factor * LogComplex.from_complex(hs))
+    front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
+    return LogComplex.from_complex(complex(front.to_complex())) * logcomplex_sum(terms)
+
+
+# -- Fraction forms of the arc quantities -----------------------------------
+
+def upsilon(x):
+    """1 at 0, x on (0, 1/2], 1 - x on (1/2, 1): the hypothesis bound's
+    weight of a fractional complement."""
+    if not 0 <= x < 1:
+        raise ValueError("need 0 <= x < 1")
+    if x == 0:
+        return Fraction(1)
+    if x <= Fraction(1, 2):
+        return x
+    return 1 - x
+
+
+def delta_hk(spec, h, k):
+    """Delta evaluated at the Farey fraction h/k, term by term in Fraction."""
+    total = Fraction(0)
+    for m, r, d in zip(spec.m, spec.r, spec.delta):
+        g = gcd0(m, k)
+        ls = lambda_star(m, r, h, k)
+        total += d * (Fraction(2 * g * g, m)
+                      + Fraction(12 * g * g, m) * (ls * ls - ls))
+    return -total
+
+
+def fraction_transformed_arguments(spec, h, k, z, precision="double"):
+    """transform.transformed_arguments with each coefficient a Fraction."""
+    B = get_backend(precision)
+    z = B.native(z)
+    iz = B.j / z
+    out = []
+    for m, r in zip(spec.m, spec.r):
+        d = gcd0(m, k)
+        lam = lambda_int(m, r, h, k)
+        ls = lambda_star(m, r, h, k)
+        hb = hbar(m, h, k)
+        tau_t = B.real(Fraction(hb * d, k)) + B.real(Fraction(d * d, m * k)) * iz
+        sigma_t = (B.real(Fraction(r * d, m * k) + lam * Fraction(hb * d, k))
+                   + B.real(ls * Fraction(d * d, m * k)) * iz)
+        out.append((sigma_t, tau_t))
+    return out

@@ -18,11 +18,11 @@ from qprodasym import (arc_datum, bessel_I_minus1, check_assumption,
                        oracle_expand, sign_check)
 from qprodasym.arith import dedekind_sum, dedekind_sum_fast, gcd0
 from qprodasym.asymptotics import _bessel_i1_asym_log, _bessel_i1_series_log
-from qprodasym.transform import (ModularMatrix, _delta_hk, default_terms,
+from qprodasym.transform import (ModularMatrix, default_terms,
                                  eval_eta, eval_theta, eval_zh_point)
 from qprodasym.asymptotics import delta_arc
 
-from conftest import P5, RR, TG, random_farey, random_spec
+from conftest import P5, RR, TG, delta_hk, random_farey, random_spec
 
 BENCHMARKS = (P5, RR, TG)
 
@@ -263,7 +263,7 @@ def test_criterion_8_invariant_suites():
         spec = random_spec(rng, max_j=3, max_m=10)
         h, k = random_farey(rng, 30)
         ell = (k - 1) % spec.L + 1
-        ok &= _delta_hk(spec, h, k) == delta_arc(spec, h % ell, ell)
+        ok &= delta_hk(spec, h, k) == delta_arc(spec, h % ell, ell)
 
     # Dedekind reciprocity and oddness for every c <= 200
     for c in range(1, 201):

@@ -18,13 +18,13 @@ from qprodasym import (HypothesisError, LogComplex, PhaseExponent, ProductSpec,
 from qprodasym import asymptotics
 from qprodasym._backend import DOUBLE
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
-from qprodasym.asymptotics import (g_asymptotic_members, logc_sum, upsilon,
+from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_phase, _arc_table, _bessel_i1_asym_log,
                                    _bessel_i1_series_log, _level_sums,
                                    _level_terms)
 
-from conftest import (P5, RR, TG, h_sum, member_kernel, random_farey,
-                      random_spec)
+from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
+                      member_kernel, random_farey, random_spec, upsilon)
 
 # expected positive-class (major-arc) lists for the three benchmark specs
 P5_POSITIVE = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
@@ -200,10 +200,9 @@ class TestDeltaClassInvariance:
         for _ in range(100):
             spec = random_spec(rng, max_j=3, max_m=10)
             h, k = random_farey(rng, 30)
-            from qprodasym.transform import _delta_hk
             L = spec.L
             ell = (k - 1) % L + 1
-            assert _delta_hk(spec, h, k) == delta_arc(spec, h % ell, ell)
+            assert delta_hk(spec, h, k) == delta_arc(spec, h % ell, ell)
 
 
 class TestPhaseExponent:
@@ -451,6 +450,78 @@ class TestLevelPass:
         assert self._check(TG, 1000, members, get_backend("extended")) > 0
 
 
+# the asym specs of the oneshot benchmark and the centres of their n pools
+ONESHOT_ASYM = {"5:1:-1": 0.5, "5:1:1 5:2:-1": 0.5, "5:2:-2 10:2:1 10:4:2": 0.5,
+                "12:5:-1": 0.5, "30:2:-1": 0.5, "60:5:-1": 1.25}
+
+
+def _parse(text):
+    return ProductSpec(*zip(*(tuple(int(x) for x in tok.split(":"))
+                              for tok in text.split())))
+
+
+def _oneshot_pool(centre):
+    return sorted({round(10 ** (3 + (centre + j / 100) / 3)) for j in range(-3, 4)})
+
+
+class TestFloatMainSum:
+    """g_asymptotic equals the LogComplex accumulation over every member of
+    the positive cells (dead classes included), float for float."""
+
+    @staticmethod
+    def _check(spec, n, K=None, precision="double"):
+        got = g_asymptotic(spec, n, K, precision)
+        members = _main_sum_members(spec, default_K(spec, n) if K is None else K)
+        want = logcomplex_main_sum(spec, n, members, precision)
+        assert (got.log_mag, got.arg) == (want.log_mag, want.arg)
+
+    @pytest.mark.parametrize("text", list(ONESHOT_ASYM))
+    def test_oneshot_pools(self, text):
+        spec = _parse(text)
+        for n in _oneshot_pool(ONESHOT_ASYM[text]):
+            for K in (None, 1, 5, 17):
+                self._check(spec, n, K)
+
+    def test_random_specs(self):
+        rng = random.Random(71)
+        checked = 0
+        while checked < 20:
+            spec = random_spec(rng, max_j=3, max_m=12)
+            if not check_assumption(spec)[0]:
+                continue
+            self._check(spec, rng.randint(50, 2000))
+            checked += 1
+
+    def test_extended_precision(self):
+        self._check(TG, 1000, precision="extended")
+
+    def test_one_logcomplex_per_bessel_factor(self, monkeypatch):
+        # at 60:5:-1, n = 2610 the LogComplex form built 2,769 objects and
+        # listed 882 members without an admissible h
+        spec = ProductSpec((60,), (5,), (-1,))
+        made, listed = [], []
+        init = LogComplex.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        level_terms = asymptotics._level_terms
+
+        def recorded(spec, members, backend):
+            members = list(members)
+            listed.extend(members)
+            return level_terms(spec, members, backend)
+
+        monkeypatch.setattr(LogComplex, "__init__", counted_init)
+        monkeypatch.setattr(asymptotics, "_level_terms", recorded)
+        asymptotics.g_asymptotic(spec, 2610)
+        monkeypatch.undo()
+        assert listed and all(math.gcd(*m) == 1 for m in listed)
+        factors = {(delta_arc(spec, kappa, ell), k) for kappa, ell, k in listed}
+        assert len(made) <= len(factors) + 4
+
+
 class TestLogComplex:
     def test_roundtrip(self):
         z = 3.5 - 1.25j
@@ -465,7 +536,7 @@ class TestLogComplex:
     def test_sum_with_cancellation(self):
         terms = [LogComplex.from_complex(1e8 + 1j),
                  LogComplex.from_complex(-1e8)]
-        s = logc_sum(terms).to_complex()
+        s = logc_sum([(t.log_mag, t.arg) for t in terms]).to_complex()
         assert abs(s - 1j) < 1e-7
 
     def test_real_sign(self):

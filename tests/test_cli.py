@@ -2,8 +2,10 @@
 and deterministic, machine-readable output.
 """
 
+import argparse
 import hashlib
 import json
+import os
 
 import mpmath
 import pytest
@@ -291,7 +293,7 @@ class TestHypothesisFailsFast:
 
         monkeypatch.setattr(asymptotics, "classify_arcs", refuse)
         monkeypatch.setattr(asymptotics, "_arc_kernel", refuse)
-        monkeypatch.setattr(analysis, "classify_arcs", refuse)
+        monkeypatch.setattr(analysis, "dominant_levels", refuse)
         monkeypatch.setattr(analysis, "expand_spec", refuse)
         code, out, err = run(capsys, argv[0], *self.SPEC, *argv[1:])
         assert code == 2
@@ -333,6 +335,23 @@ class TestTransformTest:
         doc = json.loads(out)
         assert doc["samples"] == 5
         assert float(doc["max_discrepancy"]) < 1e-9
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("5:1:-1", "--samples", "25", "--seed", "0"),
+         '{"max_discrepancy":"5.94900970129167e-14","samples":25}'),
+        (("5:1:1", "5:2:-1", "--samples", "25", "--seed", "0"),
+         '{"max_discrepancy":"4.03092531199099e-14","samples":25}'),
+        (("5:2:-2", "10:2:1", "10:4:2", "--samples", "25", "--seed", "0"),
+         '{"max_discrepancy":"9.90870013846118e-14","samples":25}'),
+        (("5:2:-2", "10:2:1", "10:4:2", "--samples", "5", "--seed", "3",
+          "--precision", "extended"),
+         '{"max_discrepancy":"1.20777325353444e-38","samples":5}'),
+    ])
+    def test_golden_stdout(self, capsys, argv, expected):
+        # pinned to the output of the Fraction transformation data
+        code, out, _ = run(capsys, "transform-test", *argv)
+        assert code == 0
+        assert out == expected + "\n"
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_rejects_empty_run(self, capsys, samples):
@@ -390,3 +409,36 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+with open(os.path.join(os.path.dirname(__file__), "cli_usage.json"),
+          encoding="utf-8") as _fh:
+    USAGE_CASES = json.load(_fh)
+
+
+class TestParser:
+    """Help, usage and parse errors, captured from the parser that built
+    every subcommand for every query, at COLUMNS=80."""
+
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_usage_output_unchanged(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch):
+        calls = []
+        real = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert run(capsys, "asym", "5:1:-1", "--n", "100")[0] == 0
+        assert calls == ["asym"]

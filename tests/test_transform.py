@@ -10,13 +10,18 @@ import re
 
 import pytest
 
+from fractions import Fraction
+
 from qprodasym import (ModularMatrix, ProductSpec, build_gamma,
                        check_main_transform, chi)
+from qprodasym._backend import get_backend
+from qprodasym.asymptotics import _delta_num
 from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
                                  eval_theta, eval_zh_point,
                                  transformed_arguments)
 
-from conftest import P5, RR, TG, random_farey, random_spec
+from conftest import (P5, RR, TG, delta_hk, fraction_transformed_arguments,
+                      random_farey, random_spec)
 
 
 def _rel(a, b):
@@ -256,3 +261,30 @@ class TestMainTransform:
             check_main_transform(P5, 0, 1, -1.0)
         with pytest.raises(ValueError):
             check_main_transform(P5, 2, 4, 1.0)
+
+
+def _integer_data_specs():
+    rng = random.Random(12)
+    return [TG, ProductSpec((60,), (5,), (-1,))] + [
+        random_spec(rng, max_j=3, max_m=12) for _ in range(6)]
+
+
+class TestIntegerTransformData:
+    """The straightened arguments and Delta from integer numerators equal
+    their Fraction forms: each is one correctly rounded quotient."""
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("spec", _integer_data_specs(), ids=str)
+    def test_matches_fraction_forms(self, spec, precision):
+        B = get_backend(precision)
+        rng = random.Random(str(spec))
+        for k in range(1, 41):
+            z = complex(rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2))
+            for h in range(k):
+                if math.gcd(h, k) != 1:
+                    continue
+                assert (transformed_arguments(spec, h, k, z, precision)
+                        == fraction_transformed_arguments(spec, h, k, z, precision))
+                dn = _delta_num(spec, h, k)
+                assert Fraction(dn, spec.L) == delta_hk(spec, h, k)
+                assert B.ratio(dn, spec.L) == B.real(delta_hk(spec, h, k))
