@@ -22,6 +22,7 @@ from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_phase, _arc_table, _bessel_i1_asym_log,
                                    _bessel_i1_series_log, _level_sums,
                                    _level_terms)
+from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
                       member_kernel, random_farey, random_spec, upsilon)
@@ -455,11 +456,6 @@ ONESHOT_ASYM = {"5:1:-1": 0.5, "5:1:1 5:2:-1": 0.5, "5:2:-2 10:2:1 10:4:2": 0.5,
                 "12:5:-1": 0.5, "30:2:-1": 0.5, "60:5:-1": 1.25}
 
 
-def _parse(text):
-    return ProductSpec(*zip(*(tuple(int(x) for x in tok.split(":"))
-                              for tok in text.split())))
-
-
 def _oneshot_pool(centre):
     return sorted({round(10 ** (3 + (centre + j / 100) / 3)) for j in range(-3, 4)})
 
@@ -477,7 +473,7 @@ class TestFloatMainSum:
 
     @pytest.mark.parametrize("text", list(ONESHOT_ASYM))
     def test_oneshot_pools(self, text):
-        spec = _parse(text)
+        spec = parse_spec(text.split())
         for n in _oneshot_pool(ONESHOT_ASYM[text]):
             for K in (None, 1, 5, 17):
                 self._check(spec, n, K)
