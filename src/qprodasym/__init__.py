@@ -4,10 +4,10 @@ shifted q-Pochhammer pairs (q^r, q^{m-r}; q^m)_inf^delta."""
 from .arith import (dedekind_sum, dedekind_sum6, dedekind_sum_fast, gcd0, hbar,
                     lcm_all)
 from .asymptotics import (ArcClass, ArcDatum, HypothesisError, LogComplex,
-                          PhaseExponent, arc_datum, bessel_I_minus1,
-                          check_assumption, classify_arcs, default_K,
-                          delta_arc, g_asymptotic, g_asymptotic_members,
-                          lambda_int, lambda_star, omega_big)
+                          arc_datum, bessel_I_minus1, check_assumption,
+                          classify_arcs, default_K, delta_arc, g_asymptotic,
+                          g_asymptotic_members, lambda_int, lambda_star,
+                          omega_big)
 from .analysis import (DominantLevel, NoMajorArcsError, ResidueVerdict,
                        compare, dominant_levels, leading_profile, sign_check)
 from .qseries import (CoeffSeries, ProductSpec, apply_factor, expand_spec,
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcClass", "ArcDatum", "CoeffSeries", "DominantLevel", "HypothesisError",
-    "LogComplex", "ModularMatrix", "NoMajorArcsError", "PhaseExponent",
-    "ProductSpec", "ResidueVerdict", "apply_factor", "arc_datum",
+    "LogComplex", "ModularMatrix", "NoMajorArcsError", "ProductSpec", "ResidueVerdict", "apply_factor", "arc_datum",
     "bessel_I_minus1", "build_gamma", "check_assumption",
     "check_main_transform", "chi", "classify_arcs", "compare", "default_K",
     "dedekind_sum", "dedekind_sum6", "dedekind_sum_fast", "delta_arc", "dominant_levels",

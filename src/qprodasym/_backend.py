@@ -1,8 +1,10 @@
 """Floating backends: IEEE double (cmath) and extended precision (mpmath).
 
-The numeric kernels in :mod:`transform` and :mod:`asymptotics` are written
-against this small interface so the CLI's ``--precision`` flag can swap the
-arithmetic underneath without duplicating the formulas.
+The evaluators in :mod:`transform` are written against this small
+interface so that ``transform-test --precision`` can swap the arithmetic
+underneath without duplicating the formulas.  The main sum of
+:mod:`asymptotics` is plain double arithmetic; only its shared unit-root
+formula ``_unit`` takes a backend, for :mod:`transform`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 
 
 class DoubleBackend:
-    name = "double"
     pi = math.pi
     j = 1j
     # relative tail target used when sizing adaptive series
@@ -22,10 +23,6 @@ class DoubleBackend:
     @staticmethod
     def exp(z):
         return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
-
-    @staticmethod
-    def log(z):
-        return cmath.log(z) if isinstance(z, complex) else math.log(z)
 
     @staticmethod
     def real(x):
@@ -47,17 +44,11 @@ class DoubleBackend:
         return complex(z)
 
     @staticmethod
-    def to_complex(z) -> complex:
-        return complex(z)
-
-    @staticmethod
     def abs(z):
         return abs(z)
 
 
 class ExtendedBackend:
-    name = "extended"
-
     def __init__(self, dps: int = 40):
         import mpmath
 
@@ -68,7 +59,6 @@ class ExtendedBackend:
         self.j = self.mp.mpc(0, 1)
         self.eps = self.mp.mpf(10) ** (-dps - 5)
         self.exp = self.mp.exp
-        self.log = self.mp.log
 
     def real(self, x):
         if isinstance(x, Fraction):
@@ -83,9 +73,6 @@ class ExtendedBackend:
 
     def native(self, z):
         return self.mp.mpc(z)
-
-    def to_complex(self, z) -> complex:
-        return complex(z)
 
     def abs(self, z):
         return self.mp.fabs(z)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from ._backend import get_backend
 from .arith import lcm_all
-from .asymptotics import (HypothesisError, PhaseExponent, _arc_table,
-                          _level_sums, _level_terms, _major_classes,
-                          _require_assumption, g_asymptotic, omega_big)
+from .asymptotics import (HypothesisError, _arc_table, _level_sums,
+                          _level_terms, _major_classes, _require_assumption,
+                          _unit, g_asymptotic, omega_big)
 from .qseries import CoeffSeries, ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -91,8 +90,7 @@ class ResidueVerdict:
     levels: tuple[DominantLevel, ...] = ()
 
 
-def leading_profile(spec: ProductSpec, depth: int = 3,
-                    precision: str = "double") -> ResidueVerdict:
+def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     """Sign profile of the top nonvanishing Bessel level.
 
     Sums the h-sums of all members at the largest sqrt(Delta)/k value; the
@@ -105,14 +103,13 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
         raise ValueError("depth must be positive")
     table = _arc_table(spec)
     _require_assumption(spec, table)
-    backend = get_backend(precision)
     levels = tuple(dominant_levels(spec, depth, table))
-    front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
+    front = _unit(sum(spec.delta), 2)
     L = spec.L
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and
         # Pi values are shared by all residues n0
-        arcs = dict(_level_terms(spec, level.members, backend))
+        arcs = dict(_level_terms(spec, level.members))
         present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
                    for h, _, _ in terms}
         contributing = [m for m in level.members if m in present]
@@ -122,13 +119,12 @@ def leading_profile(spec: ProductSpec, depth: int = 3,
         scale = 0.0
         amps = []
         for n0 in range(P):
-            sums = {(k, ell): _level_sums(terms, 6 * L * n0, 3 * L * k, ell, backend)
+            sums = {(k, ell): _level_sums(terms, 6 * L * n0, 3 * L * k, ell)
                     for (k, ell), terms in arcs.items()}
-            total = backend.complex_(0)
+            total = 0j
             for kappa, ell, k in contributing:
                 total += sums[k, ell][kappa]
-            value = backend.to_complex(front.to_complex(backend)
-                                       * backend.native(total))
+            value = front * total
             amps.append(value.real)
             scale = max(scale, abs(value))
         if scale == 0.0 or all(abs(a) < VANISH_RATIO * scale for a in amps):
@@ -152,15 +148,19 @@ class CompareRow:
 
 
 def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
-            series: CoeffSeries | None = None,
-            precision: str = "double") -> list[CompareRow]:
-    """Exact g(n) vs the truncated approximation, compared in log space."""
+            series: CoeffSeries | None = None) -> list[CompareRow]:
+    """Exact g(n) vs the truncated approximation, compared in log space.
+
+    Every n and K are checked before the series is expanded to max(n).
+    """
     if not n_values:
         return []
     omega = omega_big(spec)
     for n in n_values:
         if Fraction(n) <= -omega / 24:
             raise HypothesisError(f"n = {n} violates n > -Omega/24")
+    if K is not None and K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     _require_assumption(spec)
     top = max(n_values)
     if series is None:
@@ -170,7 +170,7 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
     rows = []
     for n in n_values:
         exact = series[n]
-        approx = g_asymptotic(spec, n, K, precision)
+        approx = g_asymptotic(spec, n, K)
         log_exact = math.log(abs(exact)) if exact else None
         if exact:
             sign = approx.real_sign * (1 if exact > 0 else -1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from ._backend import DOUBLE, get_backend
+from ._backend import DOUBLE
 from .arith import gcd0, hbar, inverse_dedekind6
 from .qseries import ProductSpec
 
@@ -177,23 +177,6 @@ def check_assumption(spec: ProductSpec, table=None
 # exact phases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseExponent:
-    """A unit complex number e^{i pi t} stored as the exact rational t mod 2."""
-
-    t: Fraction
-
-    @classmethod
-    def of(cls, t) -> "PhaseExponent":
-        return cls(Fraction(t) % 2)
-
-    def __mul__(self, other: "PhaseExponent") -> "PhaseExponent":
-        return PhaseExponent.of(self.t + other.t)
-
-    def to_complex(self, backend=DOUBLE):
-        return _unit(self.t.numerator, self.t.denominator, backend)
-
-
 def _unit(num: int, den: int, backend=DOUBLE):
     """e^{i pi num/den}; num/den is reduced to (-1, 1] before exponentiating
     to keep the argument small, and converted by one rounded division."""
@@ -203,12 +186,12 @@ def _unit(num: int, den: int, backend=DOUBLE):
     return backend.exp(backend.j * backend.pi * backend.ratio(num, den))
 
 
-def _pi_value(factors, backend=DOUBLE):
+def _pi_value(factors):
     """Pi_{h,k} from its (x numerator, x denominator, delta) factors 1 - e^{2 pi i x}."""
-    value = backend.complex_(1)
-    turn = 2 * backend.j * backend.pi
+    value = complex(1)
+    turn = 2j * math.pi
     for x, den, d in factors:
-        f = 1 - backend.exp(turn * backend.ratio(x, den))
+        f = 1 - cmath.exp(turn * (x / den))
         if f == 0:
             raise AssertionError("vanishing Pi factor; exponent should be a noninteger")
         value *= f ** d
@@ -224,13 +207,13 @@ class ArcDatum:
     lambdas: tuple[int, ...]
     lambda_stars: tuple[Fraction, ...]
     hbars: tuple[int, ...]
-    phase: PhaseExponent          # combined (-1)^{sum delta*lambda} * omega^2 * D
+    phase: Fraction               # t in [0, 2): (-1)^{sum delta*lambda} omega^2 D = e^{i pi t}
     pi_exponents: tuple[tuple[Fraction, int], ...]  # (x mod 1, delta) factors of Pi
 
-    def pi_value(self, backend=DOUBLE):
+    def pi_value(self):
         """Pi_{h,k} as a complex number; each factor is 1 - e^{2 pi i x}."""
         return _pi_value(tuple((x.numerator, x.denominator, d)
-                               for x, d in self.pi_exponents), backend)
+                               for x, d in self.pi_exponents))
 
 
 def _arc_kernel(spec: ProductSpec, k: int, hs: Iterable[int],
@@ -336,7 +319,7 @@ def arc_datum(spec: ProductSpec, h: int, k: int,
                     tuple(lambda_int(m, r, h, k) for m, r in zip(spec.m, spec.r)),
                     tuple(lambda_star(m, r, h, k) for m, r in zip(spec.m, spec.r)),
                     tuple(hbars),
-                    PhaseExponent(Fraction(num, 3 * spec.L * k)),
+                    Fraction(num, 3 * spec.L * k),
                     tuple((Fraction(x, den), d) for x, den, d in pi))
 
 
@@ -407,7 +390,7 @@ def logc_sum(terms: Iterable[tuple[float, float]]) -> LogComplex:
 _BESSEL_SPLIT = 25.0
 
 
-def _bessel_i1_series_log(x, backend=DOUBLE):
+def _bessel_i1_series_log(x):
     # ascending series: I_1(x) = sum_{t>=0} (x/2)^{2t+1} / (t! (t+1)!)
     half = x / 2
     term = half
@@ -417,15 +400,15 @@ def _bessel_i1_series_log(x, backend=DOUBLE):
         term = term * half * half / (t * (t + 1))
         total += term
         t += 1
-        if term < total * backend.eps:
+        if term < total * 1e-18:
             break
-    return backend.log(total)
+    return math.log(total)
 
 
-def _bessel_i1_asym_log(x, backend=DOUBLE, min_terms: int = 6):
+def _bessel_i1_asym_log(x, min_terms: int = 6):
     # exponentially scaled expansion around e^x / sqrt(2 pi x); the
     # correction terms use 4 s^2 = 4 for order s = -1 (equivalently 1).
-    term = backend.real(1)
+    term = 1.0
     total = term
     k = 1
     while True:
@@ -436,26 +419,23 @@ def _bessel_i1_asym_log(x, backend=DOUBLE, min_terms: int = 6):
         term = nxt
         total += term
         k += 1
-        if abs(term) < backend.eps * abs(total) and k > min_terms:
+        if abs(term) < 1e-18 * abs(total) and k > min_terms:
             break
-    return x + backend.log(total) - backend.log(2 * backend.pi * x) / 2
+    return x + math.log(total) - math.log(2 * math.pi * x) / 2
 
 
-def bessel_I_minus1(x: float, precision: str = "double") -> LogComplex:
+def bessel_I_minus1(x: float) -> LogComplex:
     """I_{-1}(x) = I_1(x) for x > 0, in log-magnitude form.
 
     Ascending series for x <= 25, exponentially scaled asymptotic
     expansion beyond; the two branches overlap consistently on [20, 30].
     """
-    backend = get_backend(precision)
     if x <= 0:
         raise ValueError("x must be positive")
-    xb = backend.real(x)
+    x = float(x)
     if x <= _BESSEL_SPLIT:
-        lm = _bessel_i1_series_log(xb, backend)
-    else:
-        lm = _bessel_i1_asym_log(xb, backend)
-    return LogComplex(float(lm), 0.0)
+        return LogComplex(_bessel_i1_series_log(x), 0.0)
+    return LogComplex(_bessel_i1_asym_log(x), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +447,8 @@ def default_K(spec: ProductSpec, n: int) -> int:
     return math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24)))
 
 
-def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
-                 backend) -> Iterator[tuple[tuple[int, int], list]]:
+def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
+                 ) -> Iterator[tuple[tuple[int, int], list]]:
     """Yield ((k, ell), [(h, phase numerator, Pi_{h,k})]) per level of
     `members`, one level at a time, so that only one level's arcs are held.
 
@@ -493,12 +473,12 @@ def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]],
         for h, num, factors in _arc_kernel(spec, k, hs):
             pi = pis.get(factors)
             if pi is None:
-                pi = pis[factors] = _pi_value(factors, backend)
+                pi = pis[factors] = _pi_value(factors)
             terms.append((h, num, pi))
         yield (k, ell), terms
 
 
-def _level_sums(terms, step: int, D: int, ell: int, backend) -> dict:
+def _level_sums(terms, step: int, D: int, ell: int) -> dict:
     """Per class kappa = h mod ell, the sum of e^{-2 pi i n h / k}
     phase_{h,k} Pi_{h,k} over the `terms` of one level, in their order.
 
@@ -507,9 +487,8 @@ def _level_sums(terms, step: int, D: int, ell: int, backend) -> dict:
     converted by one rounded division, as in :func:`_unit`.  A class
     without admissible h has no entry.
     """
-    zero = backend.complex_(0)
-    exp, ratio = backend.exp, backend.ratio
-    jpi = backend.j * backend.pi
+    exp = cmath.exp
+    jpi = 1j * math.pi
     D2 = 2 * D
     sums = {}
     for h, num, pi in terms:
@@ -517,7 +496,7 @@ def _level_sums(terms, step: int, D: int, ell: int, backend) -> dict:
         if t > D:
             t -= D2
         kappa = h % ell
-        sums[kappa] = sums.get(kappa, zero) + exp(jpi * ratio(t, D)) * pi
+        sums[kappa] = sums.get(kappa, 0j) + exp(jpi * (t / D)) * pi
     return sums
 
 
@@ -541,7 +520,7 @@ def _require_assumption(spec: ProductSpec, table=None) -> None:
 
 def g_asymptotic_members(spec: ProductSpec, n: int,
                          members: Iterable[tuple[int, int, int]],
-                         precision: str = "double", table=None) -> LogComplex:
+                         table=None) -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples.
 
     `members` is iterated once, after both hypotheses are checked, and
@@ -556,7 +535,6 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
     if table is None:
         table = _arc_table(spec)
     _require_assumption(spec, table)
-    backend = get_backend(precision)
     L = spec.L
     members = list(members)
     for kappa, ell, _ in members:
@@ -564,13 +542,13 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
         if table[D][kappa % D][0] <= 0:
             raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
     step = 6 * L * n
-    sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell, backend)
-            for (k, ell), terms in _level_terms(spec, members, backend)}
+    sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell)
+            for (k, ell), terms in _level_terms(spec, members)}
     bessels: dict[tuple[int, int], tuple[float, float]] = {}
     terms = []
     w = float(24 * n + omega)
     for kappa, ell, k in members:
-        hs = backend.to_complex(sums[k, ell].get(kappa, 0))
+        hs = sums[k, ell].get(kappa, 0)
         if hs == 0:
             continue
         D = math.gcd(ell, L)
@@ -579,18 +557,16 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
         if factor is None:
             dv = dn / L
             x = math.pi * math.sqrt(dv * w) / (6 * k)
-            bessel = bessel_I_minus1(x, precision)
+            bessel = bessel_I_minus1(x)
             factor = bessels[dn, k] = _times(
                 (math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0),
                 (bessel.log_mag, bessel.arg))
         terms.append(_times(factor, _polar(hs)))
-    front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
-    total = logc_sum(terms)
-    return LogComplex.from_complex(complex(front.to_complex())) * total
+    front = _unit(sum(spec.delta), 2)
+    return LogComplex.from_complex(front) * logc_sum(terms)
 
 
-def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
-                 precision: str = "double") -> LogComplex:
+def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     """Truncated Bessel-series approximation of g(n).
 
     Sums over every major-arc class and every k <= K congruent to the
@@ -621,4 +597,4 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None,
                 if math.gcd(kappa, g) == 1:
                     yield kappa, ell, k
 
-    return g_asymptotic_members(spec, n, members(), precision, table)
+    return g_asymptotic_members(spec, n, members(), table)

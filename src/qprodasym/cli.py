@@ -116,7 +116,7 @@ def cmd_asym(args) -> int:
     spec = parse_spec(args.spec)
     # hypothesis validation happens inside g_asymptotic, before the default
     # truncation bound is evaluated (it is undefined for out-of-range n)
-    value = asymptotics.g_asymptotic(spec, args.n, args.K, args.precision)
+    value = asymptotics.g_asymptotic(spec, args.n, args.K)
     K = args.K if args.K is not None else asymptotics.default_K(spec, args.n)
     doc = {
         "n": args.n,
@@ -135,7 +135,7 @@ def cmd_compare(args) -> int:
     n_values = [int(s) for s in args.n_list.split(",") if s]
     if not n_values:
         raise ValueError(f"--n-list names no n: {args.n_list!r}")
-    rows = analysis.compare(spec, n_values, args.K, precision=args.precision)
+    rows = analysis.compare(spec, n_values, args.K)
     with _out_stream(args.out) as out:
         if args.format == "json":
             out.write(analysis.compare_to_json(rows) + "\n")
@@ -147,7 +147,7 @@ def cmd_compare(args) -> int:
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
     # the profile checks the hypothesis inequality before it ranks the levels
-    verdict = analysis.leading_profile(spec, args.depth, args.precision)
+    verdict = analysis.leading_profile(spec, args.depth)
     doc = {
         "levels": [{"value": _fmt(lv.value),
                     "members": [list(m) for m in lv.members]} for lv in verdict.levels],
@@ -197,7 +197,6 @@ def cmd_transform_test(args) -> int:
 
 
 _K = {"--K": dict(type=int, default=None)}
-_PRECISION = {"--precision": dict(choices=["double", "extended"], default="double")}
 
 # name -> (handler, help, options after spec and --out)
 COMMANDS = {
@@ -207,19 +206,21 @@ COMMANDS = {
     "arcs": (cmd_arcs, "Omega, L, arc classes, hypothesis check",
              {"--format": dict(choices=["text", "json"], default="text")}),
     "asym": (cmd_asym, "truncated Bessel-series value",
-             {"--n": dict(type=int, required=True), **_K, **_PRECISION}),
+             {"--n": dict(type=int, required=True), **_K}),
     "compare": (cmd_compare, "exact vs asymptotic table",
                 {"--n-list": dict(required=True, help="comma-separated n values"), **_K,
-                 "--format": dict(choices=["csv", "json"], default="csv"), **_PRECISION}),
+                 "--format": dict(choices=["csv", "json"], default="csv")}),
     "analyze": (cmd_analyze, "dominant levels and sign profile",
-                {"--depth": dict(type=int, default=3), **_PRECISION}),
+                {"--depth": dict(type=int, default=3)}),
     "signs": (cmd_signs, "exact sign scan by residue class",
               {"--mod": dict(type=int, required=True),
                "--range": dict(required=True, help="inclusive range a..b")}),
     "transform-test": (cmd_transform_test,
                        "verify the arc transformation formula on random samples",
                        {"--samples": dict(type=int, default=25),
-                        "--seed": dict(type=int, default=0), **_PRECISION}),
+                        "--seed": dict(type=int, default=0),
+                        "--precision": dict(choices=["double", "extended"],
+                                            default="double")}),
 }
 
 

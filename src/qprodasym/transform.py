@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import DOUBLE, get_backend
+from ._backend import get_backend
 from .arith import dedekind_sum_fast, gcd0, hbar
-from .asymptotics import (PhaseExponent, lambda_int, omega_big, _arc_phase,
-                          _delta_num, _unit)
+from .asymptotics import (lambda_int, omega_big, _arc_phase, _delta_num,
+                          _unit)
 from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
@@ -171,7 +171,7 @@ def chi(gamma: ModularMatrix, precision: str = "double"):
     B = get_backend(precision)
     t = (Fraction(gamma.a + gamma.d, 12 * gamma.c)
          - dedekind_sum_fast(gamma.d, gamma.c) - Fraction(1, 4))
-    return PhaseExponent.of(t).to_complex(B)
+    return _unit(t.numerator, t.denominator, B)
 
 
 def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str = "double"):

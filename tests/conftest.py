@@ -14,10 +14,10 @@ import pytest
 from qprodasym import ProductSpec
 from qprodasym._backend import get_backend
 from qprodasym.arith import coprime_residues, gcd0, hbar
-from qprodasym.asymptotics import (LogComplex, PhaseExponent, _arc_kernel,
-                                   _arc_table, _level_sums, _level_terms,
-                                   _pi_value, _unit, bessel_I_minus1,
-                                   lambda_int, lambda_star, omega_big)
+from qprodasym.asymptotics import (LogComplex, _arc_kernel, _arc_table,
+                                   _level_sums, _level_terms, _pi_value,
+                                   _unit, bessel_I_minus1, lambda_int,
+                                   lambda_star, omega_big)
 
 # 1/(q, q^4; q^5)_inf — partitions into parts = +-1 mod 5
 P5 = ProductSpec((5,), (1,), (-1,))
@@ -82,24 +82,24 @@ def member_kernel(spec, kappa, ell, k):
     return _arc_kernel(spec, k, coprime_residues(k, kappa, ell))
 
 
-def h_terms(spec, kappa, ell, k, backend):
+def h_terms(spec, kappa, ell, k):
     """(h, phase numerator, Pi_{h,k}) over the admissible h of one member."""
-    return [(h, num, _pi_value(pi, backend))
+    return [(h, num, _pi_value(pi))
             for h, num, pi in member_kernel(spec, kappa, ell, k)]
 
 
-def sum_terms(terms, step, D, backend):
+def sum_terms(terms, step, D):
     """Sum of _unit(num - step h, D) Pi over `terms`, in order."""
-    total = backend.complex_(0)
+    total = 0j
     for h, num, pi in terms:
-        total += _unit(num - step * h, D, backend) * pi
+        total += _unit(num - step * h, D) * pi
     return total
 
 
-def h_sum(spec, n, kappa, ell, k, backend):
+def h_sum(spec, n, kappa, ell, k):
     """Sum over admissible h of e^{-2 pi i n h / k} phase_{h,k} Pi_{h,k}."""
-    return sum_terms(h_terms(spec, kappa, ell, k, backend),
-                     6 * spec.L * n, 3 * spec.L * k, backend)
+    return sum_terms(h_terms(spec, kappa, ell, k),
+                     6 * spec.L * n, 3 * spec.L * k)
 
 
 # -- the LogComplex oracle of the main sum ----------------------------------
@@ -121,20 +121,19 @@ def logcomplex_sum(terms):
     return LogComplex(top + math.log(abs(s)), cmath.phase(s))
 
 
-def logcomplex_main_sum(spec, n, members, precision="double"):
+def logcomplex_main_sum(spec, n, members):
     """The main-term sum over explicit (kappa, ell, k) members, each term a
     LogComplex: pref * I_-1(x) per (Delta, k) times the member's h-sum."""
-    backend = get_backend(precision)
     table = _arc_table(spec)
     L = spec.L
     members = list(members)
-    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell, backend)
-            for (k, ell), terms in _level_terms(spec, members, backend)}
+    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell)
+            for (k, ell), terms in _level_terms(spec, members)}
     bessels = {}
     terms = []
     w = float(24 * n + omega_big(spec))
     for kappa, ell, k in members:
-        hs = backend.to_complex(sums[k, ell].get(kappa, 0))
+        hs = sums[k, ell].get(kappa, 0)
         if hs == 0:
             continue
         D = math.gcd(ell, L)
@@ -144,10 +143,10 @@ def logcomplex_main_sum(spec, n, members, precision="double"):
             dv = dn / L
             x = math.pi * math.sqrt(dv * w) / (6 * k)
             pref = LogComplex(math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0)
-            factor = bessels[dn, k] = pref * bessel_I_minus1(x, precision)
+            factor = bessels[dn, k] = pref * bessel_I_minus1(x)
         terms.append(factor * LogComplex.from_complex(hs))
-    front = PhaseExponent.of(Fraction(sum(spec.delta), 2))
-    return LogComplex.from_complex(complex(front.to_complex())) * logcomplex_sum(terms)
+    front = _unit(sum(spec.delta), 2)
+    return LogComplex.from_complex(front) * logcomplex_sum(terms)
 
 
 # -- Fraction forms of the arc quantities -----------------------------------

@@ -105,14 +105,13 @@ class TestLeadingProfile:
 
     def test_amplitudes_periodic(self):
         # recomputing at n0 + P reproduces the same amplitudes
-        from qprodasym._backend import DOUBLE
         verdict = leading_profile(TG)
         P = verdict.modulus
         levels = dominant_levels(TG, 1)
         for n0 in range(P):
-            a = sum(h_sum(TG, n0, kappa, ell, k, DOUBLE)
+            a = sum(h_sum(TG, n0, kappa, ell, k)
                     for kappa, ell, k in levels[0].members)
-            b = sum(h_sum(TG, n0 + P, kappa, ell, k, DOUBLE)
+            b = sum(h_sum(TG, n0 + P, kappa, ell, k)
                     for kappa, ell, k in levels[0].members)
             assert abs(a - b) < 1e-13
 
@@ -146,6 +145,15 @@ class TestCompare:
         monkeypatch.setattr(analysis, "expand_spec", expand)
         with pytest.raises(HypothesisError):
             compare(P5, [10**6, 0])
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_truncation_checked_before_expansion(self, monkeypatch, K):
+        # a K below 1 fails at once, with the message of g_asymptotic
+        def expand(spec, N):
+            pytest.fail(f"expanded to N = {N} before checking K")
+        monkeypatch.setattr(analysis, "expand_spec", expand)
+        with pytest.raises(ValueError, match=f"K must be at least 1, got {K}"):
+            compare(P5, [40000], K)
 
     def test_csv_and_json_output(self):
         rows = compare(P5, [100, 200])

@@ -11,17 +11,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qprodasym import (HypothesisError, LogComplex, PhaseExponent, ProductSpec,
+from qprodasym import (HypothesisError, LogComplex, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
                        classify_arcs, default_K, delta_arc, expand_spec,
                        g_asymptotic, lambda_int, lambda_star, omega_big)
 from qprodasym import asymptotics
-from qprodasym._backend import DOUBLE
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_phase, _arc_table, _bessel_i1_asym_log,
                                    _bessel_i1_series_log, _level_sums,
-                                   _level_terms)
+                                   _level_terms, _unit)
 from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
@@ -206,19 +205,21 @@ class TestDeltaClassInvariance:
             assert delta_hk(spec, h, k) == delta_arc(spec, h % ell, ell)
 
 
-class TestPhaseExponent:
-    def test_reduction_mod_two(self):
-        assert PhaseExponent.of(Fraction(7, 3)).t == Fraction(1, 3)
-        assert PhaseExponent.of(-Fraction(1, 2)).t == Fraction(3, 2)
+class TestUnit:
+    def test_values(self):
+        # e^{i pi} = -1 and e^{i pi / 2} = i
+        assert abs(_unit(1, 1) + 1) < 1e-15
+        assert abs(_unit(1, 2) - 1j) < 1e-15
 
-    def test_multiplication(self):
-        a = PhaseExponent.of(Fraction(3, 2))
-        b = PhaseExponent.of(Fraction(3, 4))
-        assert (a * b).t == Fraction(1, 4)
-
-    def test_to_complex(self):
-        assert abs(PhaseExponent.of(1).to_complex() + 1) < 1e-15
-        assert abs(PhaseExponent.of(Fraction(1, 2)).to_complex() - 1j) < 1e-15
+    def test_reduction_leaves_the_float(self):
+        # num/den and its reduced form (any representative mod 2) give the
+        # same float, so exact exponents need no reduction before _unit
+        for den in range(1, 13):
+            for num in range(-3 * den, 3 * den + 1):
+                t = Fraction(num, den)
+                want = _unit(t.numerator, t.denominator)
+                assert repr(_unit(num, den)) == repr(want)
+                assert repr(_unit(num + 4 * den, den)) == repr(want)
 
 
 class TestArcDatum:
@@ -229,7 +230,7 @@ class TestArcDatum:
         assert datum.lambdas == (0,)
         assert datum.lambda_stars == (Fraction(0),)
         # the D factor contributes e^{-pi i delta r d / (m k)} = e^{pi i/5}
-        assert datum.phase.t == Fraction(1, 5)
+        assert datum.phase == Fraction(1, 5)
         expected = (1 - cmath.exp(2j * cmath.pi / 5)) ** -1
         assert abs(datum.pi_value() - expected) < 1e-14
 
@@ -282,7 +283,7 @@ def fraction_arc_datum(spec, h, k, hbars=None):
         g = gcd0(m, k)
         t -= 2 * d * dedekind_sum_fast((m // g) * h, k // g)
     return (tuple(lambdas), tuple(stars), tuple(hbars),
-            PhaseExponent.of(t), tuple(pi_factors))
+            t % 2, tuple(pi_factors))
 
 
 class TestArcKernel:
@@ -308,7 +309,7 @@ class TestArcKernel:
             assert (datum.lambdas, datum.lambda_stars, datum.hbars,
                     datum.phase, datum.pi_exponents) == expected
             num, pi = _arc_phase(spec, h, k)
-            assert Fraction(num, 3 * spec.L * k) == expected[3].t
+            assert Fraction(num, 3 * spec.L * k) == expected[3]
             assert tuple((Fraction(x, den), d) for x, den, d in pi) == expected[4]
             # the same arc inside the kernel of a member that contains it
             ell = 1 + (h + k) % k
@@ -342,7 +343,7 @@ class TestArcKernel:
             assert [h for h, _, _ in kernel] == hs
             for (h, num, pi), exp in zip(kernel, expected):
                 assert 0 <= num < 6 * spec.L * k
-                assert Fraction(num, 3 * spec.L * k) == exp[3].t
+                assert Fraction(num, 3 * spec.L * k) == exp[3]
                 assert tuple((Fraction(x, den), d) for x, den, d in pi) == exp[4]
             arcs += len(kernel)
         assert arcs > 2000
@@ -353,8 +354,8 @@ class TestArcKernel:
         for kappa, ell, k in ((0, 2, 4), (2, 4, 6), (3, 6, 9), (0, 10, 10)):
             assert list(coprime_residues(k, kappa, ell)) == []
             assert member_kernel(TG, kappa, ell, k) == []
-            terms = dict(_level_terms(TG, [(kappa, ell, k)], DOUBLE))[k, ell]
-            assert kappa not in _level_sums(terms, 0, 3 * TG.L * k, ell, DOUBLE)
+            terms = dict(_level_terms(TG, [(kappa, ell, k)]))[k, ell]
+            assert kappa not in _level_sums(terms, 0, 3 * TG.L * k, ell)
 
     def test_h_sum_builds_no_fraction(self, monkeypatch):
         made = []
@@ -367,18 +368,18 @@ class TestArcKernel:
         members = [(kappa, ell, k) for kappa, ell in TG_POSITIVE
                    for k in range(ell, 61, TG.L)]
         monkeypatch.setattr(Fraction, "__new__", counting)
-        sums = [_level_sums(terms, 6 * TG.L * 1468, 3 * TG.L * k, ell, DOUBLE)
-                for (k, ell), terms in _level_terms(TG, members, DOUBLE)]
+        sums = [_level_sums(terms, 6 * TG.L * 1468, 3 * TG.L * k, ell)
+                for (k, ell), terms in _level_terms(TG, members)]
         monkeypatch.undo()
         assert made == []
         assert sum(v for level in sums for v in level.values()) != 0
 
 
-def _level_pass(spec, n, members, backend):
+def _level_pass(spec, n, members):
     """{member: h-sum} of the level pass over `members`."""
     L = spec.L
-    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell, backend)
-            for (k, ell), terms in _level_terms(spec, members, backend)}
+    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell)
+            for (k, ell), terms in _level_terms(spec, members)}
     return {(kappa, ell, k): sums[k, ell].get(kappa)
             for kappa, ell, k in members}
 
@@ -400,18 +401,18 @@ class TestLevelPass:
     """The per-level h-sums equal the per-member oracle bit for bit."""
 
     @staticmethod
-    def _check(spec, n, members, backend=DOUBLE):
+    def _check(spec, n, members):
         try:
-            got = _level_pass(spec, n, members, backend)
+            got = _level_pass(spec, n, members)
         except AssertionError:
             # an integer Pi exponent: the oracle refuses the spec too
             with pytest.raises(AssertionError):
                 for kappa, ell, k in members:
-                    h_sum(spec, n, kappa, ell, k, backend)
+                    h_sum(spec, n, kappa, ell, k)
             return 0
         compared = 0
         for kappa, ell, k in members:
-            oracle = h_sum(spec, n, kappa, ell, k, backend)
+            oracle = h_sum(spec, n, kappa, ell, k)
             value = got[kappa, ell, k]
             if value is None:
                 # no admissible h: the oracle adds nothing
@@ -419,7 +420,7 @@ class TestLevelPass:
                 assert oracle == 0
                 continue
             assert value == oracle
-            assert repr(backend.to_complex(value)) == repr(backend.to_complex(oracle))
+            assert repr(value) == repr(oracle)
             compared += 1
         return compared
 
@@ -445,11 +446,6 @@ class TestLevelPass:
         members = [(2, 5, 5), (3, 5, 5), (2, 5, 5), (1, 3, 17), (0, 4, 9)]
         assert self._check(RR, 321, members) == len(members)
 
-    def test_extended_precision(self):
-        from qprodasym._backend import get_backend
-        members = _main_sum_members(TG, 60)
-        assert self._check(TG, 1000, members, get_backend("extended")) > 0
-
 
 # the asym specs of the oneshot benchmark and the centres of their n pools
 ONESHOT_ASYM = {"5:1:-1": 0.5, "5:1:1 5:2:-1": 0.5, "5:2:-2 10:2:1 10:4:2": 0.5,
@@ -465,10 +461,10 @@ class TestFloatMainSum:
     the positive cells (dead classes included), float for float."""
 
     @staticmethod
-    def _check(spec, n, K=None, precision="double"):
-        got = g_asymptotic(spec, n, K, precision)
+    def _check(spec, n, K=None):
+        got = g_asymptotic(spec, n, K)
         members = _main_sum_members(spec, default_K(spec, n) if K is None else K)
-        want = logcomplex_main_sum(spec, n, members, precision)
+        want = logcomplex_main_sum(spec, n, members)
         assert (got.log_mag, got.arg) == (want.log_mag, want.arg)
 
     @pytest.mark.parametrize("text", list(ONESHOT_ASYM))
@@ -488,9 +484,6 @@ class TestFloatMainSum:
             self._check(spec, rng.randint(50, 2000))
             checked += 1
 
-    def test_extended_precision(self):
-        self._check(TG, 1000, precision="extended")
-
     def test_one_logcomplex_per_bessel_factor(self, monkeypatch):
         # at 60:5:-1, n = 2610 the LogComplex form built 2,769 objects and
         # listed 882 members without an admissible h
@@ -504,10 +497,10 @@ class TestFloatMainSum:
 
         level_terms = asymptotics._level_terms
 
-        def recorded(spec, members, backend):
+        def recorded(spec, members):
             members = list(members)
             listed.extend(members)
-            return level_terms(spec, members, backend)
+            return level_terms(spec, members)
 
         monkeypatch.setattr(LogComplex, "__init__", counted_init)
         monkeypatch.setattr(asymptotics, "_level_terms", recorded)
@@ -602,11 +595,6 @@ class TestGAsymptotic:
         for spec, n in ((P5, 300), (RR, 300), (TG, 302)):
             approx = g_asymptotic(spec, n)
             assert approx.imag_over_real() < 1e-8
-
-    def test_extended_precision_agrees(self):
-        a = g_asymptotic(RR, 200)
-        b = g_asymptotic(RR, 200, precision="extended")
-        assert abs(a.log_abs_real() - b.log_abs_real()) < 1e-9
 
     def test_members_restriction(self):
         # restricting to all major-arc (kappa, ell, k) with k <= K equals

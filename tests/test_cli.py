@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from qprodasym import _backend, analysis, asymptotics
-from qprodasym.cli import main, parse_spec, SpecParseError
+from qprodasym.cli import build_parser, main, parse_spec, SpecParseError
 
 from conftest import RR
 
@@ -153,9 +153,6 @@ class TestAsym:
         (("12:5:-1", "--n", "1434"),
          '{"K":94,"imag_over_real":"0","log_abs":"31.9532341955559",'
          '"n":1434,"sign":1}'),
-        (("5:2:-2", "10:2:1", "10:4:2", "--n", "1000", "--precision", "extended"),
-         '{"K":79,"imag_over_real":"0","log_abs":"30.6596203079482",'
-         '"n":1000,"sign":1}'),
     ])
     def test_golden_stdout(self, capsys, argv, expected):
         # pinned to the output of the Fraction phase assembly, bit for bit
@@ -172,12 +169,30 @@ class TestAsym:
                        '"log_abs":"154.380603933585","n":20000,"sign":1}\n')
 
     def test_extended_keeps_global_precision(self, capsys, monkeypatch):
+        # the extended backend (only transform-test takes it) runs in a
+        # private mpmath context
         monkeypatch.setattr(_backend, "_EXTENDED", None)   # built afresh
         dps = mpmath.mp.dps
-        code, _, _ = run(capsys, "asym", "5:1:1", "5:2:-1", "--n", "200",
-                         "--precision", "extended")
+        code, _, _ = run(capsys, "transform-test", "5:1:1", "5:2:-1",
+                         "--samples", "2", "--precision", "extended")
         assert code == 0
         assert mpmath.mp.dps == dps
+
+    @pytest.mark.parametrize("argv", [
+        ("asym", "5:1:-1", "--n", "100"),
+        ("compare", "5:1:-1", "--n-list", "100"),
+        ("analyze", "5:1:-1"),
+    ], ids=lambda a: a[0])
+    def test_precision_is_unrecognized(self, capsys, monkeypatch, argv):
+        # the main sum has one double-precision path
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--precision", "extended"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err == (build_parser().format_usage() + "qprodasym: error: "
+                                "unrecognized arguments: --precision extended\n")
 
 
 class TestCompare:
