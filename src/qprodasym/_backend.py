@@ -49,15 +49,15 @@ class DoubleBackend:
 
 
 class ExtendedBackend:
-    def __init__(self, dps: int = 40):
+    def __init__(self):
         import mpmath
 
         # a private context: the process-global mpmath.mp keeps its precision
         self.mp = mpmath.MPContext()
-        self.mp.dps = dps
+        self.mp.dps = 40
         self.pi = self.mp.pi
         self.j = self.mp.mpc(0, 1)
-        self.eps = self.mp.mpf(10) ** (-dps - 5)
+        self.eps = self.mp.mpf(10) ** (-self.mp.dps - 5)
         self.exp = self.mp.exp
 
     def real(self, x):

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from .arith import lcm_all
-from .asymptotics import (HypothesisError, _arc_table, _level_sums,
-                          _level_terms, _major_classes, _require_assumption,
-                          _unit, g_asymptotic, omega_big)
-from .qseries import CoeffSeries, ProductSpec, expand_spec
+from .asymptotics import (HypothesisError, _level_sums, _level_terms,
+                          _major_classes, _require_assumption, _unit,
+                          g_asymptotic, omega_big)
+from .qseries import ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
 
@@ -38,23 +38,21 @@ class DominantLevel:
         return math.sqrt(float(self.ratio_squared))
 
 
-def dominant_levels(spec: ProductSpec, depth: int, table=None) -> list[DominantLevel]:
+def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
     """The `depth` largest distinct values of sqrt(Delta)/k over major arcs.
 
     Enumeration terminates because sqrt(Delta)/k decreases in k; whether a
     member actually contributes (existence of an admissible h) is decided
-    later, when terms are summed.  `table` defaults to :func:`_arc_table`.
+    later, when terms are summed.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if table is None:
-        table = _arc_table(spec)
     L = spec.L
     # k-way merge over the per-class sequences k = ell, ell + L, ...; each
     # sequence is strictly decreasing in sqrt(Delta)/k, so a heap pop order
     # enumerates values globally in decreasing order.
     heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell) for ell in range(1, L + 1)
-            for kappa, dn in _major_classes(table, L, ell)]
+            for kappa, dn in _major_classes(spec, ell)]
     if not heap:
         raise NoMajorArcsError("no major arcs: every class has Delta <= 0")
     heapq.heapify(heap)
@@ -101,9 +99,8 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    table = _arc_table(spec)
-    _require_assumption(spec, table)
-    levels = tuple(dominant_levels(spec, depth, table))
+    _require_assumption(spec)
+    levels = tuple(dominant_levels(spec, depth))
     front = _unit(sum(spec.delta), 2)
     L = spec.L
     for idx, level in enumerate(levels):
@@ -147,11 +144,12 @@ class CompareRow:
     rel_error: float
 
 
-def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
-            series: CoeffSeries | None = None) -> list[CompareRow]:
+def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None
+            ) -> list[CompareRow]:
     """Exact g(n) vs the truncated approximation, compared in log space.
 
     Every n and K are checked before the series is expanded to max(n).
+    G is a power series, so g(n) = 0 for n < 0.
     """
     if not n_values:
         return []
@@ -162,14 +160,10 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None,
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     _require_assumption(spec)
-    top = max(n_values)
-    if series is None:
-        series = expand_spec(spec, top)
-    elif series.truncation_order < top:
-        raise ValueError("requested n exceeds the available truncation")
+    series = expand_spec(spec, max(0, *n_values))
     rows = []
     for n in n_values:
-        exact = series[n]
+        exact = series[n] if n >= 0 else 0
         approx = g_asymptotic(spec, n, K)
         log_exact = math.log(abs(exact)) if exact else None
         if exact:
@@ -188,17 +182,14 @@ class ResidueScan:
     first_counterexample: int | None
 
 
-def sign_check(spec: ProductSpec, modulus: int, n_from: int, n_to: int,
-               series: CoeffSeries | None = None) -> list[ResidueScan]:
+def sign_check(spec: ProductSpec, modulus: int, n_from: int, n_to: int
+               ) -> list[ResidueScan]:
     """Scan exact coefficients over [n_from, n_to] by residue class."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
-    if series is None:
-        series = expand_spec(spec, n_to)
-    elif series.truncation_order < n_to:
-        raise ValueError("range exceeds the available truncation")
+    series = expand_spec(spec, n_to)
     out = []
     for rho in range(modulus):
         ns = [n for n in range(n_from, n_to + 1) if n % modulus == rho]

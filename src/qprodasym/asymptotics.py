@@ -7,9 +7,9 @@ assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
 
 The main sum makes one kernel pass per Farey level k over its admissible
-h, on one divisor-cell table of Delta and the hypothesis bound per call.
-Nothing is cached across calls, so memory does not grow with n or with
-the number of calls.
+h.  Delta and the hypothesis bound come from the divisor-cell table the
+spec builds once, as `spec.arcs`; nothing else is cached across calls,
+so memory does not grow with n or with the number of calls.
 """
 
 from __future__ import annotations
@@ -114,51 +114,51 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
             for D in range(1, spec.L + 1) if spec.L % D == 0}
 
 
-def _major_classes(table, L: int, ell: int) -> list[tuple[int, int]]:
+def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
     """(kappa, L Delta) of the classes of level ell in the positive cells
-    of `table`, cell by cell."""
-    D = math.gcd(ell, L)
-    return [(kappa, dn) for c, (dn, _) in enumerate(table[D]) if dn > 0
+    of `spec.arcs`, cell by cell."""
+    D = math.gcd(ell, spec.L)
+    return [(kappa, dn) for c, (dn, _) in enumerate(spec.arcs[D]) if dn > 0
             for kappa in range(c, ell, D)]
 
 
-def classify_arcs(spec: ProductSpec, table=None
-                  ) -> tuple[list[ArcClass], list[ArcClass]]:
+def _classes(spec: ProductSpec) -> Iterator[tuple[int, int, int]]:
+    """Yield (kappa, ell, L Delta) for every class (kappa, ell),
+    1 <= ell <= L and 0 <= kappa < ell, ordered by ell, then kappa."""
+    L = spec.L
+    for ell in range(1, L + 1):
+        cells = spec.arcs[math.gcd(ell, L)]
+        D = len(cells)
+        for kappa in range(ell):
+            yield kappa, ell, cells[kappa % D][0]
+
+
+def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     """Partition {(kappa, ell) : 1 <= ell <= L, 0 <= kappa < ell} by sign of Delta.
 
     Returns (positive, nonpositive), each ordered by ell, then kappa; ties
     Delta = 0 go to the nonpositive set.  Delta is read off the divisor
-    cells of `table` (default: :func:`_arc_table`).
+    cells of `spec.arcs`.
     """
     L = spec.L
     positive: list[ArcClass] = []
     nonpositive: list[ArcClass] = []
-    # per cell, Delta and the list its classes go to
-    targets = {D: [(Fraction(dn, L), positive if dn > 0 else nonpositive)
-                   for dn, _ in cells]
-               for D, cells in (table or _arc_table(spec)).items()}
-    for ell in range(1, L + 1):
-        cells = targets[math.gcd(ell, L)]
-        D = len(cells)
-        for kappa in range(ell):
-            dv, target = cells[kappa % D]
-            target.append(ArcClass(kappa, ell, dv))
+    deltas = {dn: Fraction(dn, L) for cells in spec.arcs.values() for dn, _ in cells}
+    for kappa, ell, dn in _classes(spec):
+        (positive if dn > 0 else nonpositive).append(ArcClass(kappa, ell, deltas[dn]))
     return positive, nonpositive
 
 
-def check_assumption(spec: ProductSpec, table=None
-                     ) -> tuple[bool, list[tuple[int, int]]]:
+def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
     """Verify the hypothesis inequality on every residue class, exactly.
 
     For each (kappa, ell) the minimum over j of
     Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j must be at least
     Delta(kappa, ell) / 24.  Returns (ok, violations), the violations
-    ordered by ell, then kappa; each divisor cell of :func:`_arc_table`
-    (built here unless the caller passes it as `table`) is checked once.
+    ordered by ell, then kappa; each divisor cell of `spec.arcs` is
+    checked once.
     """
-    if table is None:
-        table = _arc_table(spec)
-    failing = {D: bad for D, cells in table.items()
+    failing = {D: bad for D, cells in spec.arcs.items()
                if (bad := [c for c, (dn, bn) in enumerate(cells) if 24 * bn < dn])}
     violations = []
     if failing:
@@ -405,9 +405,10 @@ def _bessel_i1_series_log(x):
     return math.log(total)
 
 
-def _bessel_i1_asym_log(x, min_terms: int = 6):
+def _bessel_i1_asym_log(x):
     # exponentially scaled expansion around e^x / sqrt(2 pi x); the
     # correction terms use 4 s^2 = 4 for order s = -1 (equivalently 1).
+    min_terms = 6
     term = 1.0
     total = term
     k = 1
@@ -443,8 +444,8 @@ def bessel_I_minus1(x: float) -> LogComplex:
 # ---------------------------------------------------------------------------
 
 def default_K(spec: ProductSpec, n: int) -> int:
-    """Truncation bound floor(sqrt(2 pi (n + Omega/24))) for the k-sum."""
-    return math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24)))
+    """Truncation bound max(1, floor(sqrt(2 pi (n + Omega/24)))) for the k-sum."""
+    return max(1, math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24))))
 
 
 def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
@@ -507,10 +508,10 @@ def _require_range(spec: ProductSpec, n: int) -> Fraction:
     return omega
 
 
-def _require_assumption(spec: ProductSpec, table=None) -> None:
+def _require_assumption(spec: ProductSpec) -> None:
     """Raise HypothesisError where the hypothesis inequality fails, naming
     the number of failing classes and the first ten of them."""
-    ok, violations = check_assumption(spec, table)
+    ok, violations = check_assumption(spec)
     if not ok:
         shown = violations[:10]
         first = f", the first {len(shown)}" if len(shown) < len(violations) else ""
@@ -519,27 +520,23 @@ def _require_assumption(spec: ProductSpec, table=None) -> None:
 
 
 def g_asymptotic_members(spec: ProductSpec, n: int,
-                         members: Iterable[tuple[int, int, int]],
-                         table=None) -> LogComplex:
+                         members: Iterable[tuple[int, int, int]]) -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples.
 
     `members` is iterated once, after both hypotheses are checked, and
     grouped by level (k, ell): one :func:`_level_terms` pass per level
     gives the h-sums of all its members.  Each class's Delta is read from
-    its divisor cell of :func:`_arc_table` (built here unless the caller
-    passes it as `table`); the factor pref * I_{-1}(x), which depends on
-    Delta and k only, is evaluated once per (Delta, k).  Terms are float
-    (log-magnitude, argument) pairs.
+    its divisor cell of `spec.arcs`; the factor pref * I_{-1}(x), which
+    depends on Delta and k only, is evaluated once per (Delta, k).  Terms
+    are float (log-magnitude, argument) pairs.
     """
     omega = _require_range(spec, n)
-    if table is None:
-        table = _arc_table(spec)
-    _require_assumption(spec, table)
+    _require_assumption(spec)
     L = spec.L
     members = list(members)
     for kappa, ell, _ in members:
         D = math.gcd(ell, L)
-        if table[D][kappa % D][0] <= 0:
+        if spec.arcs[D][kappa % D][0] <= 0:
             raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
     step = 6 * L * n
     sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell)
@@ -552,7 +549,7 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
         if hs == 0:
             continue
         D = math.gcd(ell, L)
-        dn = table[D][kappa % D][0]
+        dn = spec.arcs[D][kappa % D][0]
         factor = bessels.get((dn, k))
         if factor is None:
             dv = dn / L
@@ -572,10 +569,10 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     Sums over every major-arc class and every k <= K congruent to the
     class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
     result is a LogComplex whose imaginary part is pure numerical noise.
-    The divisor-cell table is built once; :func:`g_asymptotic_members`
-    checks the hypothesis inequality on it before the members of each
-    level k, the classes in its positive cells, are generated from it.
-    Classes with gcd(kappa, ell, k) > 1 have no admissible h and are skipped.
+    :func:`g_asymptotic_members` checks the hypothesis inequality on
+    `spec.arcs` before the members of each level k, the classes in its
+    positive cells, are generated from it.  Classes with
+    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -583,7 +580,6 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     if K is None:
         K = default_K(spec, n)
     L = spec.L
-    table = _arc_table(spec)
 
     def members():
         positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
@@ -591,10 +587,10 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
             ell = (k - 1) % L + 1
             kappas = positive.get(ell)
             if kappas is None:
-                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(table, L, ell)]
+                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
             g = math.gcd(ell, k)
             for kappa in kappas:
                 if math.gcd(kappa, g) == 1:
                     yield kappa, ell, k
 
-    return g_asymptotic_members(spec, n, members(), table)
+    return g_asymptotic_members(spec, n, members())

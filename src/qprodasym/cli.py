@@ -86,14 +86,15 @@ def cmd_expand(args) -> int:
 def cmd_arcs(args) -> int:
     spec = parse_spec(args.spec)
     omega = asymptotics.omega_big(spec)
-    table = asymptotics._arc_table(spec)
-    positive, nonpositive = asymptotics.classify_arcs(spec, table)
-    ok, violations = asymptotics.check_assumption(spec, table)
+    positive, nonpositive = [], []
+    for kappa, ell, dn in asymptotics._classes(spec):
+        (positive if dn > 0 else nonpositive).append([kappa, ell])
+    ok, violations = asymptotics.check_assumption(spec)
     doc = {
         "L": spec.L,
         "Omega": str(omega),
-        "positive_classes": [[c.kappa, c.ell] for c in positive],
-        "nonpositive_classes": [[c.kappa, c.ell] for c in nonpositive],
+        "positive_classes": positive,
+        "nonpositive_classes": nonpositive,
         "assumption": ok,
         "violations": [list(v) for v in violations],
     }
@@ -104,7 +105,7 @@ def cmd_arcs(args) -> int:
             out.write(f"L = {spec.L}\n")
             out.write(f"Omega = {omega}\n")
             out.write("positive classes: "
-                      + ", ".join(f"({c.kappa},{c.ell})" for c in positive) + "\n")
+                      + ", ".join(f"({k},{l})" for k, l in positive) + "\n")
             out.write(f"assumption satisfied: {ok}\n")
             if violations:
                 out.write("violations: "

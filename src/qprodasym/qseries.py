@@ -16,6 +16,7 @@ every binomial (1 - q^e) in turn.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -56,6 +57,13 @@ class ProductSpec:
     def L(self) -> int:
         """lcm of all moduli m_j (each at least 2, checked on construction)."""
         return math.lcm(*self.m)
+
+    @functools.cached_property
+    def arcs(self) -> dict[int, list[tuple[int, int]]]:
+        """L * Delta and L * the hypothesis bound per divisor cell of L
+        (:func:`asymptotics._arc_table`), built on first use."""
+        from . import asymptotics  # asymptotics imports this module
+        return asymptotics._arc_table(self)
 
     def negated(self) -> "ProductSpec":
         """The reciprocal product (all exponents negated)."""

@@ -15,7 +15,7 @@ from qprodasym import (HypothesisError, LogComplex, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
                        classify_arcs, default_K, delta_arc, expand_spec,
                        g_asymptotic, lambda_int, lambda_star, omega_big)
-from qprodasym import asymptotics
+from qprodasym import analysis, asymptotics
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_phase, _arc_table, _bessel_i1_asym_log,
@@ -617,8 +617,8 @@ class TestGAsymptotic:
             g_asymptotic(ProductSpec((2,), (1,), (-13,)), 100)
 
     def test_hypotheses_checked_once(self, monkeypatch):
-        # one divisor-cell table per call, read by the check and the level
-        # pass; no full classification
+        # one divisor-cell table per spec, read by the check and the level
+        # pass of every call; no full classification
         calls = {"table": 0, "check": 0, "classify": 0}
 
         def counted(name, fn):
@@ -633,8 +633,15 @@ class TestGAsymptotic:
                             counted("check", asymptotics.check_assumption))
         monkeypatch.setattr(asymptotics, "classify_arcs",
                             counted("classify", asymptotics.classify_arcs))
-        asymptotics.g_asymptotic(TG, 400)
-        assert calls == {"table": 1, "check": 1, "classify": 0}
+        spec = ProductSpec(TG.m, TG.r, TG.delta)      # no table built yet
+        asymptotics.g_asymptotic(spec, 400)
+        asymptotics.g_asymptotic(spec, 401)
+        assert calls == {"table": 1, "check": 2, "classify": 0}
+        asymptotics.check_assumption(spec)
+        asymptotics.classify_arcs(spec)
+        analysis.leading_profile(spec)
+        analysis.compare(spec, [200, 300, 400])
+        assert calls["table"] == 1
 
     def test_retains_no_arc_data(self):
         # the per-member kernels live only inside the call

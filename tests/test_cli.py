@@ -89,7 +89,8 @@ class TestArcs:
 
     def test_large_L_reads_divisor_cells(self, capsys, monkeypatch):
         # L = 504 has 127,260 classes but sigma(504) = 1560 divisor cells;
-        # classify_arcs and check_assumption each build one table
+        # the spec builds one table, and the classes are printed from it
+        # without an ArcClass each
         calls = []
         real = asymptotics._delta_num
 
@@ -97,11 +98,15 @@ class TestArcs:
             calls.append(args)
             return real(*args)
 
+        def refuse(*args):
+            raise AssertionError("arcs built an ArcClass")
+
         monkeypatch.setattr(asymptotics, "_delta_num", counted)
+        monkeypatch.setattr(asymptotics, "ArcClass", refuse)
         code, out, _ = run(capsys, "arcs", "7:1:-1", "8:1:-1", "9:1:-1",
                            "--format", "json")
         assert code == 0
-        assert len(calls) <= 2 * 1560
+        assert len(calls) <= 1560
         # the document of the direct O(L^2) enumeration
         assert hashlib.sha256(out.encode()).hexdigest().startswith("8c27898b3d7098e6")
 
@@ -126,6 +131,13 @@ class TestAsym:
     def test_n_out_of_range_exit_code(self, capsys):
         code, _, err = run(capsys, "asym", "5:1:-1", "--n", "0")
         assert code == 2
+
+    def test_default_K_at_least_one(self, capsys):
+        # floor(sqrt(2 pi Omega/24)) = floor(sqrt(pi/6)) = 0 would sum nothing
+        code, out, _ = run(capsys, "asym", "2:1:-1", "--n", "0")
+        assert code == 0
+        assert out == ('{"K":1,"imag_over_real":"0","log_abs":"-0.12767347840335",'
+                       '"n":0,"sign":1}\n')
 
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_nonpositive_K_exit_code(self, capsys, K):
@@ -227,6 +239,17 @@ class TestCompare:
         assert code == 1
         assert out == ""
         assert "--n-list" in err
+
+    def test_negative_n_reports_zero(self, capsys):
+        # Omega = 46 admits n = -1, where g(-1) = 0
+        code, out, _ = run(capsys, "compare", "10:1:5", "--n-list=-1,2")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "-1,0,,0.160423402799051,inf",
+            "2,10,2.30258509299405,1.25514521101752,-0.649165221189244"]
+        code, out, _ = run(capsys, "compare", "10:1:5", "--n-list=-1")
+        assert code == 0
+        assert out.splitlines()[1:] == ["-1,0,,0.160423402799051,inf"]
 
     def test_n_out_of_range_exit_code(self, capsys):
         # same exit code as asym for an n outside n > -Omega/24
@@ -457,3 +480,28 @@ class TestParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         assert run(capsys, "asym", "5:1:-1", "--n", "100")[0] == 0
         assert calls == ["asym"]
+
+
+class TestReadme:
+    """The README's CLI lines and library example run as written."""
+
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    @staticmethod
+    def _block(text, heading, lang):
+        body = text.split(heading + "\n", 1)[1]
+        return body.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+    def test_examples_run(self, capsys, monkeypatch, tmp_path):
+        with open(self.README, encoding="utf-8") as fh:
+            text = fh.read()
+        lines = [line.split("#", 1)[0].split()
+                 for line in self._block(text, "## CLI", "sh").splitlines()
+                 if line.startswith("qprodasym ")]
+        assert lines
+        monkeypatch.chdir(tmp_path)                 # for --out c.json
+        for argv in lines:
+            assert run(capsys, *argv[1:])[0] == 0, argv
+        exec(self._block(text, "## Library example", "python"), {})
+        exact, sign, _ = capsys.readouterr().out.split()
+        assert int(exact) > 0 and sign == "1"

@@ -43,6 +43,16 @@ class TestProductSpec:
         assert RR.J == 2 and RR.L == 5
         assert TG.J == 3 and TG.L == 10
 
+    def test_arcs_built_once_outside_equality(self):
+        a = ProductSpec(TG.m, TG.r, TG.delta)
+        b = ProductSpec(TG.m, TG.r, TG.delta)
+        assert a == b and hash(a) == hash(b)
+        table = a.arcs
+        assert a.arcs is table
+        assert a == b and hash(a) == hash(b)
+        assert b.arcs == table and b.arcs is not table
+        assert {a: 1}[b] == 1
+
     def test_negated(self):
         assert RR.negated().delta == (-1, 1)
         assert RR.negated().m == RR.m
