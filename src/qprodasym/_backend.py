@@ -1,51 +1,37 @@
 """Floating backends: IEEE double (cmath) and extended precision (mpmath).
 
-The evaluators in :mod:`transform` are written against this small
-interface so that ``transform-test --precision`` can swap the arithmetic
-underneath without duplicating the formulas.  The main sum of
-:mod:`asymptotics` is plain double arithmetic; only its shared unit-root
-formula ``_unit`` takes a backend, for :mod:`transform`.
+The evaluators in :mod:`transform` are written against this interface so
+that ``transform-test --precision`` can swap the arithmetic underneath
+without duplicating the formulas; the main sum of :mod:`asymptotics` is
+plain double arithmetic.  Each backend has five members, and everything
+else is a Python operator (``abs``, ``1j``, ``*``) on its numbers:
+
+- ``pi``: pi at the backend's precision;
+- ``eps``: the relative tail target at which a product stops;
+- ``exp``: the complex exponential;
+- ``ratio(num, den)``: an exact integer quotient, rounded once;
+- ``native(z)``: a Python number as a backend value.
+
+:class:`ExtendedBackend` also keeps ``mp``, its private mpmath context.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 
 class DoubleBackend:
     pi = math.pi
-    j = 1j
-    # relative tail target used when sizing adaptive series
     eps = 1e-18
-
-    @staticmethod
-    def exp(z):
-        return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
-
-    @staticmethod
-    def real(x):
-        """Convert an exact number (int/Fraction) to the backend real type."""
-        return float(x)
+    exp = staticmethod(cmath.exp)
 
     @staticmethod
     def ratio(num: int, den: int):
         """num/den as a backend real; int/int division rounds correctly."""
         return num / den
 
-    @staticmethod
-    def complex_(re, im=0.0):
-        return complex(re, im)
-
-    @staticmethod
-    def native(z):
-        """Adopt a Python complex as a backend value."""
-        return complex(z)
-
-    @staticmethod
-    def abs(z):
-        return abs(z)
+    native = staticmethod(complex)
 
 
 class ExtendedBackend:
@@ -56,26 +42,12 @@ class ExtendedBackend:
         self.mp = mpmath.MPContext()
         self.mp.dps = 40
         self.pi = self.mp.pi
-        self.j = self.mp.mpc(0, 1)
         self.eps = self.mp.mpf(10) ** (-self.mp.dps - 5)
         self.exp = self.mp.exp
-
-    def real(self, x):
-        if isinstance(x, Fraction):
-            return self.mp.mpf(x.numerator) / x.denominator
-        return self.mp.mpf(x)
+        self.native = self.mp.mpc
 
     def ratio(self, num: int, den: int):
         return self.mp.mpf(num) / den
-
-    def complex_(self, re, im=0):
-        return self.mp.mpc(re, im)
-
-    def native(self, z):
-        return self.mp.mpc(z)
-
-    def abs(self, z):
-        return self.mp.fabs(z)
 
 
 DOUBLE = DoubleBackend()

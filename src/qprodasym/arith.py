@@ -4,9 +4,11 @@ Everything here is computed in exact arithmetic (Python integers and
 ``fractions.Fraction``); no floating point enters this module.  The
 phase bookkeeping of the main sum needs a modular inverse and the integer
 6c s(d, c) per arc factor; :func:`inverse_dedekind6` gives both from one
-Euclid pass, so no ``Fraction`` is built.  :func:`dedekind_sum6`,
-:func:`hbar` and the rational forms remain for the public API and as
-oracles.
+Euclid pass, so no ``Fraction`` is built; the eta multiplier of
+:mod:`transform` uses the same pass.  :func:`dedekind_sum_fast` and
+:func:`dedekind_sum6` have no caller in the package: they stay as public
+API and as the oracle chain from the rational :func:`dedekind_sum` down
+to :func:`inverse_dedekind6`.
 """
 
 from __future__ import annotations

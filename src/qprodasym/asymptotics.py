@@ -183,7 +183,7 @@ def _unit(num: int, den: int, backend=DOUBLE):
     num %= 2 * den
     if num > den:
         num -= 2 * den
-    return backend.exp(backend.j * backend.pi * backend.ratio(num, den))
+    return backend.exp(1j * backend.pi * backend.ratio(num, den))
 
 
 def _pi_value(factors):

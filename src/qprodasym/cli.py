@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (asymptotics.HypothesisError, analysis.NoMajorArcsError) as exc:
         print(f"qprodasym: hypothesis failure: {exc}", file=sys.stderr)
         return HYPOTHESIS_ERROR
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"qprodasym: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._backend import get_backend
-from .arith import dedekind_sum_fast, gcd0, hbar
+from .arith import gcd0, hbar, inverse_dedekind6
 from .asymptotics import (lambda_int, omega_big, _arc_phase, _delta_num,
                           _unit)
 from .qseries import ProductSpec
@@ -67,7 +66,7 @@ def default_terms(min_im: float) -> int:
 def _tail_start(c, q, B):
     """(c / (1 - |q|), |q|): after k factors, c |q|^k / (1 - |q|) bounds
     the log of the factors not yet taken."""
-    absq = B.abs(q)
+    absq = abs(q)
     if not absq < 1:
         raise ValueError("Im(tau) is too small to evaluate the product")
     return c / (1 - absq), absq
@@ -93,9 +92,9 @@ def eval_eta(tau, terms: int, precision: str = "double"):
     tau = B.native(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
-    q = B.exp(2 * B.j * B.pi * tau)
-    value = B.exp(2 * B.j * B.pi * tau / 24)
-    tail, absq = _tail_start(B.abs(q), q, B)
+    q = B.exp(2j * B.pi * tau)
+    value = B.exp(2j * B.pi * tau / 24)
+    tail, absq = _tail_start(abs(q), q, B)
     qk = q
     for _ in range(terms):
         if tail < B.eps:
@@ -114,12 +113,12 @@ def eval_theta(sigma, tau, terms: int, precision: str = "double"):
     tau = B.native(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
-    total = B.complex_(0)
-    half = B.real(Fraction(1, 2))
+    total = B.native(0)
+    half = B.ratio(1, 2)
     for t in range(terms + 1):
         for nu in (t + half, -(t + half)):
-            total += B.exp(2 * B.j * B.pi * nu * (sigma + half)
-                           + B.j * B.pi * nu * nu * tau)
+            total += B.exp(2j * B.pi * nu * (sigma + half)
+                           + 1j * B.pi * nu * nu * tau)
     return total
 
 
@@ -137,12 +136,12 @@ def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     tau = B.native(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
-    q = B.exp(2 * B.j * B.pi * tau)
-    zeta = B.exp(2 * B.j * B.pi * sigma)
+    q = B.exp(2j * B.pi * tau)
+    zeta = B.exp(2j * B.pi * sigma)
     zinv = 1 / zeta
-    tail, absq = _tail_start(B.abs(zeta) + B.abs(zinv * q), q, B)
-    value = B.complex_(1)
-    qk = B.complex_(1)
+    tail, absq = _tail_start(abs(zeta) + abs(zinv * q), q, B)
+    value = B.native(1)
+    qk = B.native(1)
     for _ in range(terms):
         if tail < B.eps:
             return value
@@ -163,15 +162,16 @@ def eval_Zh(r: int, m: int, tau, terms: int, precision: str = "double"):
 def chi(gamma: ModularMatrix, precision: str = "double"):
     """The eta multiplier e^{pi i ((a+d)/12c - s(d,c) - 1/4)} for c > 0.
 
-    The exponent is assembled as an exact rational and reduced mod 2
+    With S = 6c s(d, c) from the Euclid pass of
+    :func:`arith.inverse_dedekind6`, the one the main sum uses, the
+    exponent is the integer (a + d - 2S - 3c) over 12c, reduced mod 2
     before exponentiation.
     """
     if gamma.c <= 0:
         raise ValueError("need c > 0")
-    B = get_backend(precision)
-    t = (Fraction(gamma.a + gamma.d, 12 * gamma.c)
-         - dedekind_sum_fast(gamma.d, gamma.c) - Fraction(1, 4))
-    return _unit(t.numerator, t.denominator, B)
+    S = inverse_dedekind6(gamma.d, gamma.c)[1]
+    return _unit(gamma.a + gamma.d - 2 * S - 3 * gamma.c, 12 * gamma.c,
+                 get_backend(precision))
 
 
 def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str = "double"):
@@ -184,7 +184,7 @@ def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str =
     """
     B = get_backend(precision)
     z = B.native(z)
-    iz = B.j / z
+    iz = 1j / z
     out = []
     for m, r in zip(spec.m, spec.r):
         d = gcd0(m, k)
@@ -200,16 +200,16 @@ def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str =
 
 
 def check_main_transform(spec: ProductSpec, h: int, k: int, z,
-                         terms: int | None = None,
                          precision: str = "double") -> float:
     """Relative discrepancy between both sides of the arc transformation.
 
     The left side evaluates the product G(e^{2 pi i tau}) directly at
     tau = (h + i z)/k; the right side assembles the exact phase, the
     exponential growth factor and the straightened Pochhammer quotients.
-    Each product stops at its own tail bound; `terms` caps them all and
-    defaults to :func:`default_terms` at the smallest Im(tau) among them.
-    A product whose tail cannot be met within the cap raises ValueError.
+    Each product stops at its own tail bound, capped by
+    :func:`default_terms` at the smallest Im(tau) among them.  A product
+    whose tail cannot be met within the cap, or a value beyond the double
+    range, raises ValueError.
     """
     if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
         raise ValueError("need a reduced fraction 0 <= h < k")
@@ -217,15 +217,10 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     z = B.native(z)
     if not z.real > 0:
         raise ValueError("need Re(z) > 0")
-    tau = (h + B.j * z) / k
+    tau = (h + 1j * z) / k
     args = transformed_arguments(spec, h, k, z, precision)
-    if terms is None:
-        ims = [float(t.imag) for _, t in args] + [float(tau.imag)]
-        terms = default_terms(min(ims))
-
-    lhs = B.complex_(1)
-    for m, r, d in zip(spec.m, spec.r, spec.delta):
-        lhs *= eval_Zh(r, m, tau, terms, precision) ** d
+    ims = [float(t.imag) for _, t in args] + [float(tau.imag)]
+    terms = default_terms(min(ims))
 
     # the arc phase num / D and the front factor e^{pi i sum(delta)/2}, over 2D
     num, _ = _arc_phase(spec, h, k)
@@ -233,7 +228,16 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
     # Delta at h/k is its class value, L Delta an integer
     dv = B.ratio(_delta_num(spec, h, k), spec.L)
-    rhs *= B.exp(B.pi / (12 * k) * (B.real(omega_big(spec)) * z + dv / z))
-    for (sigma_t, tau_t), d in zip(args, spec.delta):
-        rhs *= eval_zh_point(sigma_t, tau_t, terms, precision) ** d
-    return float(B.abs(lhs - rhs) / B.abs(lhs))
+    omega = omega_big(spec)
+    lhs = B.native(1)
+    try:
+        for m, r, d in zip(spec.m, spec.r, spec.delta):
+            lhs *= eval_Zh(r, m, tau, terms, precision) ** d
+        rhs *= B.exp(B.pi / (12 * k)
+                     * (B.ratio(omega.numerator, omega.denominator) * z + dv / z))
+        for (sigma_t, tau_t), d in zip(args, spec.delta):
+            rhs *= eval_zh_point(sigma_t, tau_t, terms, precision) ** d
+    except OverflowError:
+        raise ValueError("a value of the transformation exceeds the double "
+                         "range; precision 'extended' evaluates it") from None
+    return float(abs(lhs - rhs) / abs(lhs))

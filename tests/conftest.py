@@ -174,19 +174,25 @@ def delta_hk(spec, h, k):
     return -total
 
 
+def fraction_real(x, B):
+    """The Fraction x as a backend real: one rounded quotient."""
+    return B.ratio(x.numerator, x.denominator)
+
+
 def fraction_transformed_arguments(spec, h, k, z, precision="double"):
     """transform.transformed_arguments with each coefficient a Fraction."""
     B = get_backend(precision)
     z = B.native(z)
-    iz = B.j / z
+    iz = 1j / z
     out = []
     for m, r in zip(spec.m, spec.r):
         d = gcd0(m, k)
         lam = lambda_int(m, r, h, k)
         ls = lambda_star(m, r, h, k)
         hb = hbar(m, h, k)
-        tau_t = B.real(Fraction(hb * d, k)) + B.real(Fraction(d * d, m * k)) * iz
-        sigma_t = (B.real(Fraction(r * d, m * k) + lam * Fraction(hb * d, k))
-                   + B.real(ls * Fraction(d * d, m * k)) * iz)
+        tau_t = (fraction_real(Fraction(hb * d, k), B)
+                 + fraction_real(Fraction(d * d, m * k), B) * iz)
+        sigma_t = (fraction_real(Fraction(r * d, m * k) + lam * Fraction(hb * d, k), B)
+                   + fraction_real(ls * Fraction(d * d, m * k), B) * iz)
         out.append((sigma_t, tau_t))
     return out

@@ -174,10 +174,13 @@ class TestArcTable:
         ok, violations = check_assumption(ProductSpec((3, 6), (1, 3), (1, -2)))
         assert not ok and violations
 
-    @pytest.mark.parametrize("spec", [TG, ProductSpec((60,), (5,), (-1,)),
-                                      ProductSpec((7, 8, 9), (1, 1, 1),
-                                                  (-1, -1, -1))], ids=str)
-    def test_one_delta_per_divisor_cell(self, spec, monkeypatch):
+    @pytest.mark.parametrize("mrd", [((5, 10, 10), (2, 2, 4), (-2, 1, 2)),
+                                     ((60,), (5,), (-1,)),
+                                     ((7, 8, 9), (1, 1, 1), (-1, -1, -1))],
+                             ids=lambda mrd: str(ProductSpec(*mrd)))
+    def test_one_delta_per_divisor_cell(self, mrd, monkeypatch):
+        # a fresh spec: `spec.arcs` is built once per spec object
+        spec = ProductSpec(*mrd)
         calls = []
         real = asymptotics._delta_num
 
@@ -187,10 +190,10 @@ class TestArcTable:
 
         monkeypatch.setattr(asymptotics, "_delta_num", counted)
         classify_arcs(spec)
-        assert len(calls) <= _sigma(spec.L)
+        assert len(calls) == _sigma(spec.L)
         calls.clear()
         check_assumption(spec)
-        assert len(calls) <= _sigma(spec.L)
+        assert calls == []
 
 
 class TestDeltaClassInvariance:

@@ -16,6 +16,10 @@ from qprodasym.cli import build_parser, main, parse_spec, SpecParseError
 from conftest import RR
 
 
+# beyond every float and index range; fails before anything is allocated
+BIG = str(10 ** 400)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -430,6 +434,23 @@ class TestExitCodes:
         assert str(target) in err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("asym", "5:1:-1", "--n", BIG),
+        ("compare", "5:1:-1", "--n-list", f"10,{BIG}"),
+        ("expand", "5:1:-1", "--order", BIG),
+        ("signs", "5:1:-1", "--mod", "5", "--range", f"0..{BIG}"),
+        # the growth factor, with Omega about 19,988, and a product to the 900th
+        ("transform-test", "10000:1:1", "--samples", "25", "--seed", "1"),
+        ("transform-test", "3:1:900", "--samples", "3", "--seed", "0"),
+    ], ids=lambda a: " ".join(a).replace(BIG, "BIG"))
+    def test_overflow_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qprodasym: error: ") and err.count("\n") == 1
+        if argv[0] == "transform-test":
+            assert "double range" in err and "'extended'" in err
+
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "expand", "5:9:1", "--order", "5")
         assert code == 1
@@ -480,6 +501,27 @@ class TestParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         assert run(capsys, "asym", "5:1:-1", "--n", "100")[0] == 0
         assert calls == ["asym"]
+
+
+with open(os.path.join(os.path.dirname(__file__), "cli_outputs.json"),
+          encoding="utf-8") as _fh:
+    OUTPUT_CASES = json.load(_fh)
+
+
+class TestOutputs:
+    """Exit code, stdout and stderr of a sweep over every subcommand: asym on
+    the oneshot benchmark's specs and n pools (default K and K = 1/5/17),
+    analyze at depth 1/3/5, compare, arcs, expand at order 300, a sign scan,
+    transform-test in double and extended precision and the hypothesis,
+    n-range and K errors.  The file holds the outputs of an earlier
+    version; a deliberate output change recaptures its entries."""
+
+    @pytest.mark.parametrize("case", OUTPUT_CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_output_unchanged(self, capsys, case):
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["code"], case["stdout"], case["stderr"])
 
 
 class TestReadme:

@@ -20,8 +20,8 @@ from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
                                  eval_theta, eval_zh_point,
                                  transformed_arguments)
 
-from conftest import (P5, RR, TG, delta_hk, fraction_transformed_arguments,
-                      random_farey, random_spec)
+from conftest import (P5, RR, TG, delta_hk, fraction_real,
+                      fraction_transformed_arguments, random_farey, random_spec)
 
 
 def _rel(a, b):
@@ -287,4 +287,4 @@ class TestIntegerTransformData:
                         == fraction_transformed_arguments(spec, h, k, z, precision))
                 dn = _delta_num(spec, h, k)
                 assert Fraction(dn, spec.L) == delta_hk(spec, h, k)
-                assert B.ratio(dn, spec.L) == B.real(delta_hk(spec, h, k))
+                assert B.ratio(dn, spec.L) == fraction_real(delta_hk(spec, h, k), B)
