@@ -7,10 +7,15 @@ expansion oracle computed by a structurally different route.
 
 The expander uses the Jacobi triple product: each factor
 (q^r, q^{m-r}; q^m)_inf is the theta series T_{m,r} over Euler's
-pentagonal series E_m = (q^m; q^m)_inf.  Both have O(sqrt(N/m)) terms up
-to q^N, so multiplying or dividing a length-N series by one costs
-O(N sqrt(N/m)) per unit of |delta|, in place of O(N^2/m) for applying
-every binomial (1 - q^e) in turn.
+pentagonal series E_m = (q^m; q^m)_inf.  Both have t = O(sqrt(N/m))
+terms up to q^N.  Positive powers are multiplied out first on one packed
+integer (Kronecker substitution): slot n of B bits holds the coefficient
+of q^n, so each unit of power costs t shift-and-adds of one (N+1)B-bit
+integer.  The slot width B is the bit length of the product's l1 norm
+prod (1 + sum |t|)^d, which bounds every coefficient, plus 2 bits,
+rounded up to whole bytes.  Negative powers then divide the unpacked
+coefficient list at O(N sqrt(N/m)) per unit.  Both replace O(N^2/m) per
+unit for applying every binomial (1 - q^e) in turn.
 """
 
 from __future__ import annotations
@@ -149,16 +154,48 @@ def _sign_runs(terms: list[tuple[int, int]], N: int) -> list[tuple]:
     return runs
 
 
-def _mul_sparse_inplace(c: list[int], runs, s: int) -> None:
-    # multiply by 1 + s(sum_plus q^e - sum_minus q^e): top-down, so every
-    # c[n - e] is still old
-    for lo, hi, plus, minus in reversed(runs):
-        for n in range(hi - 1, lo - 1, -1):
-            c[n] += s * (sum([c[n - e] for e in plus]) - sum([c[n - e] for e in minus]))
+def _mul_packed(c: list[int], factors: list[tuple[list[tuple[int, int]], int]]) -> None:
+    """Overwrite c with the coefficients 0..N = len(c) - 1 of
+    prod (1 + sum t q^e)^d over the (terms, d > 0) of `factors`, by
+    Kronecker substitution.
+
+    The polynomial sum c_n q^n is the integer sum c_n 2^{nB}, reduced mod
+    2^{(N+1)B} (that is, mod q^{N+1}) after every unit of power; a term
+    t q^e is a shift by eB bits, plus one when |t| = 2.  No coefficient
+    exceeds the l1 norm prod (1 + sum |t|)^d, so B = its bit length + 2,
+    rounded up to whole bytes, keeps every slot from carrying into the
+    next.  Adding 2^{B-1} to each slot makes all of them nonnegative, so
+    the slots unpack byte-aligned.
+    """
+    N = len(c) - 1
+    l1 = 1
+    for terms, d in factors:
+        l1 *= (1 + sum(abs(t) for _, t in terms)) ** d
+    width = (l1.bit_length() + 2 + 7) // 8     # bytes per slot
+    B = 8 * width
+    mask = (1 << (N + 1) * B) - 1
+    x = 1
+    for terms, d in factors:
+        s = abs(terms[0][1])    # 1, or 2 when 2r = m
+        plus = [e * B + s - 1 for e, t in terms if t > 0]
+        minus = [e * B + s - 1 for e, t in terms if t < 0]
+        for _ in range(d):
+            acc = x
+            for shift in plus:
+                acc += x << shift
+            for shift in minus:
+                acc -= x << shift
+            x = acc & mask
+    half = 1 << (B - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (N + 1), "little")
+    raw = ((x + bias) & mask).to_bytes((N + 1) * width, "little")
+    c[:] = [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, len(raw), width)]
 
 
 def _div_sparse_inplace(c: list[int], runs, s: int) -> None:
-    # divide by the same series: bottom-up, so every c[n - e] is already new
+    # divide by 1 + s(sum_plus q^e - sum_minus q^e): bottom-up, so every
+    # c[n - e] is already new
     for lo, hi, plus, minus in runs:
         for n in range(lo, hi):
             c[n] -= s * (sum([c[n - e] for e in plus]) - sum([c[n - e] for e in minus]))
@@ -170,29 +207,31 @@ def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
     By the Jacobi triple product each factor (q^r, q^{m-r}; q^m)_inf is
     T_{m,r} / E_m, with T_{m,r} the theta series of :func:`_theta_terms`
     and E_m = (q^m; q^m)_inf = T_{3m,m} Euler's pentagonal series.  Both
-    have O(sqrt(N/m)) terms up to q^N, so each unit of |delta_j| costs
-    O(N sqrt(N/m)).  The powers are netted per distinct series first
-    (T_{m,r} = T_{m,m-r}; E_m gets -sum_{m_j = m} delta_j), so powers that
-    cancel, such as the two E_5 of the Rogers-Ramanujan quotient, cost
-    nothing.  Each remaining power multiplies (> 0) or divides (< 0).
+    have O(sqrt(N/m)) terms up to q^N.  The powers are netted per distinct
+    series first (T_{m,r} = T_{m,m-r}; E_m gets -sum_{m_j = m} delta_j),
+    so powers that cancel, such as the two E_5 of the Rogers-Ramanujan
+    quotient, cost nothing.  The positive powers are multiplied out on one
+    packed integer (:func:`_mul_packed`); the negative ones then divide
+    the coefficient list, each unit in O(N sqrt(N/m)).  Truncation at
+    q^{N+1} commutes with both, so the order does not change the result.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
+    # allocated first: an order past the index range fails here, before
+    # any term is built
+    c = [0] * (N + 1)
     powers: dict[tuple[int, int], int] = {}
     for m, r, d in zip(spec.m, spec.r, spec.delta):
         for key, p in (((m, min(r, m - r)), d), ((3 * m, m), -d)):
             powers[key] = powers.get(key, 0) + p
-    c = [0] * (N + 1)
-    c[0] = 1
-    for (m, r), d in powers.items():
-        terms = _theta_terms(m, r, N)
-        if not d or not terms:
-            continue
-        runs = _sign_runs(terms, N)
-        s = abs(terms[0][1])    # every |t| is 1, or 2 when 2r = m
-        op = _mul_sparse_inplace if d > 0 else _div_sparse_inplace
-        for _ in range(abs(d)):
-            op(c, runs, s)
+    factors = [(_theta_terms(m, r, N), d) for (m, r), d in powers.items() if d]
+    _mul_packed(c, [(terms, d) for terms, d in factors if terms and d > 0])
+    for terms, d in factors:
+        if terms and d < 0:
+            runs = _sign_runs(terms, N)
+            s = abs(terms[0][1])    # every |t| is 1, or 2 when 2r = m
+            for _ in range(-d):
+                _div_sparse_inplace(c, runs, s)
     return CoeffSeries(c)
 
 

@@ -208,8 +208,8 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     exponential growth factor and the straightened Pochhammer quotients.
     Each product stops at its own tail bound, capped by
     :func:`default_terms` at the smallest Im(tau) among them.  A product
-    whose tail cannot be met within the cap, or a value beyond the double
-    range, raises ValueError.
+    whose tail cannot be met within the cap, or a value outside the double
+    range (an overflow, or an underflow to 0), raises ValueError.
     """
     if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
         raise ValueError("need a reduced fraction 0 <= h < k")
@@ -237,7 +237,9 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
                      * (B.ratio(omega.numerator, omega.denominator) * z + dv / z))
         for (sigma_t, tau_t), d in zip(args, spec.delta):
             rhs *= eval_zh_point(sigma_t, tau_t, terms, precision) ** d
-    except OverflowError:
-        raise ValueError("a value of the transformation exceeds the double "
-                         "range; precision 'extended' evaluates it") from None
-    return float(abs(lhs - rhs) / abs(lhs))
+        return float(abs(lhs - rhs) / abs(lhs))
+    except (OverflowError, ZeroDivisionError):
+        # overflow, or underflow to 0 that a negative power or the
+        # relative error then divides by
+        raise ValueError("a value of the transformation falls outside the "
+                         "double range; precision 'extended' evaluates it") from None

@@ -442,6 +442,10 @@ class TestExitCodes:
         # the growth factor, with Omega about 19,988, and a product to the 900th
         ("transform-test", "10000:1:1", "--samples", "25", "--seed", "1"),
         ("transform-test", "3:1:900", "--samples", "3", "--seed", "0"),
+        # underflows to 0 ahead of a division: the product to the -900th, and
+        # a straightened product of modulus 10,000 to the -1st
+        ("transform-test", "3:1:-900", "--samples", "3", "--seed", "0"),
+        ("transform-test", "10000:1:-1", "--samples", "2", "--seed", "1"),
     ], ids=lambda a: " ".join(a).replace(BIG, "BIG"))
     def test_overflow_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -187,8 +187,15 @@ class TestExpandSpec:
             ProductSpec((15, 5), (5, 1), (1, 1)),        # T_{15,5} = E_5 cancels
             ProductSpec((7, 7, 9), (2, 5, 4), (2, -2, -1)),  # T_{7,2} = T_{7,5}
         ] + [random_spec(rng, max_j=3, max_delta=2) for _ in range(6)]
-        for spec in specs:
-            N = rng.randint(1400, 1600)
+        cases = [(spec, rng.randint(1400, 1600)) for spec in specs] + [
+            # positive powers with 2r = m series (terms +-2 q^e), packed in
+            # slots of 1, 2, 6 and 8 bytes
+            (ProductSpec((4,), (2,), (1,)), 500),
+            (ProductSpec((8, 5), (4, 2), (2, -1)), 450),
+            (ProductSpec((6, 10, 4), (3, 5, 1), (4, 3, -2)), 400),
+            (ProductSpec((14, 9), (7, 4), (12, -3)), 480),
+        ]
+        for spec, N in cases:
             assert expand_spec(spec, N).coeffs == _stride_expand(spec, N).coeffs, spec
 
     @pytest.mark.parametrize("spec,N", [
