@@ -241,5 +241,5 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     except (OverflowError, ZeroDivisionError):
         # overflow, or underflow to 0 that a negative power or the
         # relative error then divides by
-        raise ValueError("a value of the transformation falls outside the "
-                         "double range; precision 'extended' evaluates it") from None
+        raise ValueError("a value of the transformation exceeds the double "
+                         "range; precision 'extended' evaluates it") from None

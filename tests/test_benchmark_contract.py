@@ -2,7 +2,7 @@
 
 A traced benchmark run wraps every target of ``tracer.TARGETS`` and
 counts arc work through ``run.arc_work``; a renamed or removed name would
-only show there.  Each check runs in a fresh interpreter, so the wrapping
+only show there.  The check runs in a fresh interpreter, so the wrapping
 cannot leak into other tests.
 """
 
