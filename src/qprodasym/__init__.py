@@ -6,8 +6,7 @@ from .arith import (dedekind_sum, dedekind_sum6, dedekind_sum_fast, gcd0, hbar,
 from .asymptotics import (ArcClass, ArcDatum, HypothesisError, LogComplex,
                           arc_datum, bessel_I_minus1, check_assumption,
                           classify_arcs, default_K, delta_arc, g_asymptotic,
-                          g_asymptotic_members, lambda_int, lambda_star,
-                          omega_big)
+                          g_asymptotic_members, lambda_int, lambda_star)
 from .analysis import (DominantLevel, NoMajorArcsError, ResidueVerdict,
                        compare, dominant_levels, leading_profile, sign_check)
 from .qseries import (CoeffSeries, ProductSpec, apply_factor, expand_spec,
@@ -27,6 +26,6 @@ __all__ = [
     "eval_Zh", "eval_eta", "eval_theta", "expand_spec", "g_asymptotic",
     "g_asymptotic_members",
     "gcd0", "hbar", "lambda_int", "lambda_star", "lcm_all",
-    "leading_profile", "omega_big", "oracle_expand", "series_from_json",
+    "leading_profile", "oracle_expand", "series_from_json",
     "series_to_csv", "series_to_json", "sign_check",
 ]

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 from .arith import lcm_all
 from .asymptotics import (HypothesisError, _level_sums, _level_terms,
                           _major_classes, _require_assumption, _unit,
-                          g_asymptotic, omega_big)
+                          g_asymptotic)
 from .qseries import ProductSpec, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -153,9 +153,8 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None
     """
     if not n_values:
         return []
-    omega = omega_big(spec)
     for n in n_values:
-        if Fraction(n) <= -omega / 24:
+        if Fraction(n) <= -spec.omega / 24:
             raise HypothesisError(f"n = {n} violates n > -Omega/24")
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")

@@ -46,14 +46,6 @@ def lambda_star(m: int, r: int, h: int, k: int) -> Fraction:
     return lambda_int(m, r, h, k) - Fraction(r * h, d)
 
 
-def omega_big(spec: ProductSpec) -> Fraction:
-    """Exact growth exponent sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j)."""
-    total = Fraction(0)
-    for m, r, d in zip(spec.m, spec.r, spec.delta):
-        total += d * (2 * m - 12 * r + Fraction(12 * r * r, m))
-    return total
-
-
 def _delta_num(spec: ProductSpec, kappa: int, ell: int) -> int:
     """L * Delta(kappa, ell), an integer; see :func:`delta_arc`."""
     L = spec.L
@@ -445,7 +437,7 @@ def bessel_I_minus1(x: float) -> LogComplex:
 
 def default_K(spec: ProductSpec, n: int) -> int:
     """Truncation bound max(1, floor(sqrt(2 pi (n + Omega/24)))) for the k-sum."""
-    return max(1, math.floor(math.sqrt(2 * math.pi * float(n + omega_big(spec) / 24))))
+    return max(1, math.floor(math.sqrt(2 * math.pi * float(n + spec.omega / 24))))
 
 
 def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
@@ -501,11 +493,9 @@ def _level_sums(terms, step: int, D: int, ell: int) -> dict:
     return sums
 
 
-def _require_range(spec: ProductSpec, n: int) -> Fraction:
-    omega = omega_big(spec)
-    if Fraction(n) <= -omega / 24:
-        raise HypothesisError(f"need n > -Omega/24 = {-omega / 24}")
-    return omega
+def _require_range(spec: ProductSpec, n: int) -> None:
+    if Fraction(n) <= -spec.omega / 24:
+        raise HypothesisError(f"need n > -Omega/24 = {-spec.omega / 24}")
 
 
 def _require_assumption(spec: ProductSpec) -> None:
@@ -530,7 +520,7 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
     depends on Delta and k only, is evaluated once per (Delta, k).  Terms
     are float (log-magnitude, argument) pairs.
     """
-    omega = _require_range(spec, n)
+    _require_range(spec, n)
     _require_assumption(spec)
     L = spec.L
     members = list(members)
@@ -543,7 +533,7 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
             for (k, ell), terms in _level_terms(spec, members)}
     bessels: dict[tuple[int, int], tuple[float, float]] = {}
     terms = []
-    w = float(24 * n + omega)
+    w = float(24 * n + spec.omega)
     for kappa, ell, k in members:
         hs = sums[k, ell].get(kappa, 0)
         if hs == 0:

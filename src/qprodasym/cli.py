@@ -85,14 +85,13 @@ def cmd_expand(args) -> int:
 
 def cmd_arcs(args) -> int:
     spec = parse_spec(args.spec)
-    omega = asymptotics.omega_big(spec)
     positive, nonpositive = [], []
     for kappa, ell, dn in asymptotics._classes(spec):
         (positive if dn > 0 else nonpositive).append([kappa, ell])
     ok, violations = asymptotics.check_assumption(spec)
     doc = {
         "L": spec.L,
-        "Omega": str(omega),
+        "Omega": str(spec.omega),
         "positive_classes": positive,
         "nonpositive_classes": nonpositive,
         "assumption": ok,
@@ -103,7 +102,7 @@ def cmd_arcs(args) -> int:
             out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
         else:
             out.write(f"L = {spec.L}\n")
-            out.write(f"Omega = {omega}\n")
+            out.write(f"Omega = {spec.omega}\n")
             out.write("positive classes: "
                       + ", ".join(f"({k},{l})" for k, l in positive) + "\n")
             out.write(f"assumption satisfied: {ok}\n")

@@ -11,11 +11,12 @@ pentagonal series E_m = (q^m; q^m)_inf.  Both have t = O(sqrt(N/m))
 terms up to q^N.  Positive powers are multiplied out first on one packed
 integer (Kronecker substitution): slot n of B bits holds the coefficient
 of q^n, so each unit of power costs t shift-and-adds of one (N+1)B-bit
-integer.  The slot width B is the bit length of the product's l1 norm
-prod (1 + sum |t|)^d, which bounds every coefficient, plus 2 bits,
-rounded up to whole bytes.  Negative powers then divide the unpacked
-coefficient list at O(N sqrt(N/m)) per unit.  Both replace O(N^2/m) per
-unit for applying every binomial (1 - q^e) in turn.
+integer.  The slot width B is 2 bits more than a bound on the final
+coefficients, rounded up to whole bytes.  Negative powers then divide the
+unpacked coefficient list, still O(N sqrt(N/m)) per unit, but as C-level
+`zip`, `sum` and `list.extend` over one iterator per exponent that reads
+the quotient as `extend` writes it.  Both replace O(N^2/m) per unit for
+applying every binomial (1 - q^e) in turn.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice, repeat
+from operator import mul, sub
 from typing import IO, Sequence
 
 
@@ -69,6 +73,12 @@ class ProductSpec:
         (:func:`asymptotics._arc_table`), built on first use."""
         from . import asymptotics  # asymptotics imports this module
         return asymptotics._arc_table(self)
+
+    @functools.cached_property
+    def omega(self) -> Fraction:
+        """Exact growth exponent Omega = sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j)."""
+        return sum((d * (2 * m - 12 * r + Fraction(12 * r * r, m))
+                    for m, r, d in zip(self.m, self.r, self.delta)), Fraction(0))
 
     def negated(self) -> "ProductSpec":
         """The reciprocal product (all exponents negated)."""
@@ -139,19 +149,37 @@ def _theta_terms(m: int, r: int, N: int) -> list[tuple[int, int]]:
         n += 1
 
 
-def _sign_runs(terms: list[tuple[int, int]], N: int) -> list[tuple]:
-    """Split 1..N into runs (lo, hi, plus, minus): for lo <= n < hi the
-    terms (e, t) with e <= n are those with e in plus (t > 0) or in minus
-    (t < 0).  The stretch below the first exponent, where none apply, is
-    left out."""
-    plus: list[int] = []
-    minus: list[int] = []
-    runs = []
-    for i, (e, t) in enumerate(terms):
-        (plus if t > 0 else minus).append(e)
-        hi = terms[i + 1][0] if i + 1 < len(terms) else N + 1
-        runs.append((e, hi, plus[:], minus[:]))
-    return runs
+def _coeff_bits(factors: list[tuple[list[tuple[int, int]], int]], N: int) -> int:
+    """Bits of a bound on |c_n|, n <= N, for prod (1 + sum t q^e)^d.
+
+    For 0 < x <= 1, |c_n| <= M(x) / x^N with M(x) = prod (1 + sum |t| x^e)^d,
+    the l1 norm at x = 1.  f(u) = log(M(e^u) / e^{Nu}) is convex and at
+    least -Nu, so bisection on the sign of f' over [-f(0) / N, 0], in
+    floats, keeps hi at or right of the minimum (f(hi) <= f(0)) until
+    f(hi) - min f <= f'(hi) (hi - lo) is at most one nat.
+    """
+    series = [(abs(terms[0][1]), [e for e, _ in terms], d) for terms, d in factors]
+
+    def f(u: float) -> tuple[float, float]:
+        x = math.exp(u)
+        value, slope = -N * u, -N
+        for s, es, d in series:
+            w = list(map(x.__pow__, es))
+            total = 1 + s * sum(w)
+            value += d * math.log(total)
+            slope += d * s * sum(map(mul, es, w)) / total
+        return value, slope
+
+    value, slope = f(0.0)
+    lo, hi = -value / max(N, 1), 0.0
+    while slope * (hi - lo) > 1:
+        u = (lo + hi) / 2
+        v, dv = f(u)
+        if dv > 0:
+            hi, value, slope = u, v, dv
+        else:
+            lo = u
+    return math.ceil(value / math.log(2))
 
 
 def _mul_packed(c: list[int], factors: list[tuple[list[tuple[int, int]], int]]) -> None:
@@ -161,17 +189,14 @@ def _mul_packed(c: list[int], factors: list[tuple[list[tuple[int, int]], int]]) 
 
     The polynomial sum c_n q^n is the integer sum c_n 2^{nB}, reduced mod
     2^{(N+1)B} (that is, mod q^{N+1}) after every unit of power; a term
-    t q^e is a shift by eB bits, plus one when |t| = 2.  No coefficient
-    exceeds the l1 norm prod (1 + sum |t|)^d, so B = its bit length + 2,
-    rounded up to whole bytes, keeps every slot from carrying into the
-    next.  Adding 2^{B-1} to each slot makes all of them nonnegative, so
-    the slots unpack byte-aligned.
+    t q^e is a shift by eB bits, plus one when |t| = 2.  That map is a
+    ring homomorphism mod q^{N+1}, so only the final coefficients need
+    |c_n| < 2^{B-1}, which B = :func:`_coeff_bits` + 2, rounded up to
+    whole bytes, ensures.  Adding 2^{B-1} to each slot makes all of them
+    nonnegative, so the slots unpack byte-aligned.
     """
     N = len(c) - 1
-    l1 = 1
-    for terms, d in factors:
-        l1 *= (1 + sum(abs(t) for _, t in terms)) ** d
-    width = (l1.bit_length() + 2 + 7) // 8     # bytes per slot
+    width = (_coeff_bits(factors, N) + 2 + 7) // 8     # bytes per slot
     B = 8 * width
     mask = (1 << (N + 1) * B) - 1
     x = 1
@@ -193,12 +218,26 @@ def _mul_packed(c: list[int], factors: list[tuple[list[tuple[int, int]], int]]) 
             for i in range(0, len(raw), width)]
 
 
-def _div_sparse_inplace(c: list[int], runs, s: int) -> None:
-    # divide by 1 + s(sum_plus q^e - sum_minus q^e): bottom-up, so every
-    # c[n - e] is already new
-    for lo, hi, plus, minus in runs:
-        for n in range(lo, hi):
-            c[n] -= s * (sum([c[n - e] for e in plus]) - sum([c[n - e] for e in minus]))
+def _div_sparse(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """c / (1 + sum t q^e) to the order N = len(c) - 1, every |t| = s.
+
+    Bottom-up, out[n] = c[n] - s (sum_{t > 0} out[n - e] - sum_{t < 0}
+    out[n - e]).  When len(out) = e, one iterator over out joins its sign
+    group; `extend` appends one item at a time, so the iterator reads
+    out[n - e] after it is written.  Between exponents the stretch runs in C.
+    """
+    N = len(c) - 1
+    s = abs(terms[0][1])    # 1, or 2 when 2r = m
+    a = iter(c)
+    out = list(islice(a, terms[0][0]))
+    groups: tuple[list, list] = ([], [])    # iterators for t > 0, t < 0
+    for (e, t), hi in zip(terms, [e for e, _ in terms[1:]] + [N + 1]):
+        groups[t < 0].append(iter(out))
+        d = map(sub, *(map(sum, zip(*g)) if g else repeat(0) for g in groups))
+        out.extend(map(sub, islice(a, hi - e), map(mul, repeat(s), d) if s == 2 else d))
+    if len(out) != N + 1:   # an iterator ran dry: extend appended in bulk
+        raise RuntimeError("list.extend must append one item at a time")
+    return out
 
 
 def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
@@ -212,8 +251,9 @@ def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
     so powers that cancel, such as the two E_5 of the Rogers-Ramanujan
     quotient, cost nothing.  The positive powers are multiplied out on one
     packed integer (:func:`_mul_packed`); the negative ones then divide
-    the coefficient list, each unit in O(N sqrt(N/m)).  Truncation at
-    q^{N+1} commutes with both, so the order does not change the result.
+    the coefficient list, each unit in O(N sqrt(N/m)) run at C speed by
+    :func:`_div_sparse`.  Truncation at q^{N+1} commutes with both, so the
+    order does not change the result.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -228,10 +268,8 @@ def expand_spec(spec: ProductSpec, N: int) -> CoeffSeries:
     _mul_packed(c, [(terms, d) for terms, d in factors if terms and d > 0])
     for terms, d in factors:
         if terms and d < 0:
-            runs = _sign_runs(terms, N)
-            s = abs(terms[0][1])    # every |t| is 1, or 2 when 2r = m
             for _ in range(-d):
-                _div_sparse_inplace(c, runs, s)
+                c = _div_sparse(c, terms)
     return CoeffSeries(c)
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from ._backend import get_backend
 from .arith import gcd0, hbar, inverse_dedekind6
-from .asymptotics import (lambda_int, omega_big, _arc_phase, _delta_num,
-                          _unit)
+from .asymptotics import lambda_int, _arc_phase, _delta_num, _unit
 from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
@@ -228,13 +227,12 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
     # Delta at h/k is its class value, L Delta an integer
     dv = B.ratio(_delta_num(spec, h, k), spec.L)
-    omega = omega_big(spec)
     lhs = B.native(1)
     try:
         for m, r, d in zip(spec.m, spec.r, spec.delta):
             lhs *= eval_Zh(r, m, tau, terms, precision) ** d
         rhs *= B.exp(B.pi / (12 * k)
-                     * (B.ratio(omega.numerator, omega.denominator) * z + dv / z))
+                     * (B.ratio(spec.omega.numerator, spec.omega.denominator) * z + dv / z))
         for (sigma_t, tau_t), d in zip(args, spec.delta):
             rhs *= eval_zh_point(sigma_t, tau_t, terms, precision) ** d
         return float(abs(lhs - rhs) / abs(lhs))

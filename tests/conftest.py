@@ -17,7 +17,7 @@ from qprodasym.arith import coprime_residues, gcd0, hbar
 from qprodasym.asymptotics import (LogComplex, _arc_kernel, _arc_table,
                                    _level_sums, _level_terms, _pi_value,
                                    _unit, bessel_I_minus1, lambda_int,
-                                   lambda_star, omega_big)
+                                   lambda_star)
 
 # 1/(q, q^4; q^5)_inf — partitions into parts = +-1 mod 5
 P5 = ProductSpec((5,), (1,), (-1,))
@@ -131,7 +131,7 @@ def logcomplex_main_sum(spec, n, members):
             for (k, ell), terms in _level_terms(spec, members)}
     bessels = {}
     terms = []
-    w = float(24 * n + omega_big(spec))
+    w = float(24 * n + spec.omega)
     for kappa, ell, k in members:
         hs = sums[k, ell].get(kappa, 0)
         if hs == 0:

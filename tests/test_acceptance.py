@@ -14,7 +14,7 @@ from fractions import Fraction
 from qprodasym import (arc_datum, bessel_I_minus1, check_assumption,
                        check_main_transform, chi, classify_arcs, compare,
                        dominant_levels, expand_spec, g_asymptotic,
-                       g_asymptotic_members, leading_profile, omega_big,
+                       g_asymptotic_members, leading_profile,
                        oracle_expand, sign_check)
 from qprodasym.arith import dedekind_sum, dedekind_sum_fast, gcd0
 from qprodasym.asymptotics import _bessel_i1_asym_log, _bessel_i1_series_log
@@ -48,7 +48,7 @@ def test_criterion_1_constants():
               (7, 10), (8, 10), (9, 10)]),
     }
     for spec, (omega, L, positive) in expected.items():
-        ok &= omega_big(spec) == omega
+        ok &= spec.omega == omega
         ok &= spec.L == L
         got = sorted((c.kappa, c.ell) for c in classify_arcs(spec)[0])
         ok &= got == sorted(positive)

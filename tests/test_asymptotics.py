@@ -14,7 +14,7 @@ import pytest
 from qprodasym import (HypothesisError, LogComplex, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
                        classify_arcs, default_K, delta_arc, expand_spec,
-                       g_asymptotic, lambda_int, lambda_star, omega_big)
+                       g_asymptotic, lambda_int, lambda_star)
 from qprodasym import analysis, asymptotics
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
@@ -67,9 +67,10 @@ class TestUpsilon:
 
 class TestConstants:
     def test_omega(self):
-        assert omega_big(P5) == Fraction(-2, 5)
-        assert omega_big(RR) == Fraction(24, 5)
-        assert omega_big(TG) == -8
+        assert P5.omega == Fraction(-2, 5)
+        assert RR.omega == Fraction(24, 5)
+        assert TG.omega == -8
+        assert isinstance(TG.omega, Fraction) and TG.omega is TG.omega
 
     def test_delta_examples(self):
         assert delta_arc(P5, 0, 1) == Fraction(2, 5)

@@ -25,6 +25,23 @@ def _dense(terms, N):
     return c
 
 
+def _division_edges():
+    """(spec, N) at the run edges of the division, where an iterator over
+    the quotient joins its sign group: N at the first exponent of the
+    divisor and one either side, and at each of the next three exponents
+    and one below each.  (m, r, -d) divides by T_{m,r}^d after multiplying
+    by E_m^d; T_{6,3} and T_{12,6} have terms +-2 q^e, and T_{15,5} = E_5.
+    """
+    cases = []
+    for m, r in ((5, 1), (7, 3), (6, 3), (12, 6), (15, 5)):
+        exps = [e for e, _ in _theta_terms(m, r, 10 * m)]
+        orders = {exps[0] - 1, exps[0], exps[0] + 1}
+        orders |= {e - k for e in exps[1:4] for k in (0, 1)}
+        cases += [(ProductSpec((m,), (r,), (-d,)), N)
+                  for d in (1, 2, 3) for N in sorted(orders)]
+    return cases
+
+
 def _stride_expand(spec, N):
     """The product as binomials (1 - q^e), each applied |delta| times."""
     s = CoeffSeries((1,) + (0,) * N)
@@ -189,7 +206,7 @@ class TestExpandSpec:
         ] + [random_spec(rng, max_j=3, max_delta=2) for _ in range(6)]
         cases = [(spec, rng.randint(1400, 1600)) for spec in specs] + [
             # positive powers with 2r = m series (terms +-2 q^e), packed in
-            # slots of 1, 2, 6 and 8 bytes
+            # slots of 1, 2, 5 and 6 bytes
             (ProductSpec((4,), (2,), (1,)), 500),
             (ProductSpec((8, 5), (4, 2), (2, -1)), 450),
             (ProductSpec((6, 10, 4), (3, 5, 1), (4, 3, -2)), 400),
@@ -203,13 +220,20 @@ class TestExpandSpec:
         (ProductSpec((20, 30), (7, 9), (2, -3)), 6),      # N < every r_j
         (ProductSpec((50, 9), (3, 4), (-2, 1)), 40),      # m_j > N
         (ProductSpec((40, 41), (20, 1), (-1, 2)), 30),    # 2r = m > N
-    ])
+    ] + _division_edges())
     def test_edge_orders(self, spec, N):
         s = expand_spec(spec, N)
         assert s.coeffs == oracle_expand(spec, N).coeffs
         assert s.coeffs == _stride_expand(spec, N).coeffs
         if N < min(spec.r):
             assert s.coeffs == (1,) + (0,) * N
+
+    def test_narrow_slots_square(self):
+        # 5:1:400 at N = 300 packs in slots of 552 bits, against 1,792
+        # from the l1 norm
+        half = expand_spec(ProductSpec((5,), (1,), (200,)), 300).coeffs
+        full = expand_spec(ProductSpec((5,), (1,), (400,)), 300).coeffs
+        assert list(full) == _poly_mul(half, half, 300)
 
 
 class TestSerialization:
