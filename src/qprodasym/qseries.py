@@ -21,12 +21,10 @@ applying every binomial (1 - q^e) in turn.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul, sub
 from typing import IO, Sequence
@@ -77,6 +75,7 @@ class ProductSpec:
     @functools.cached_property
     def omega(self) -> Fraction:
         """Exact growth exponent Omega = sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j)."""
+        from fractions import Fraction  # not needed to expand
         return sum((d * (2 * m - 12 * r + Fraction(12 * r * r, m))
                     for m, r, d in zip(self.m, self.r, self.delta)), Fraction(0))
 
@@ -337,6 +336,7 @@ def oracle_expand(spec: ProductSpec, N: int) -> CoeffSeries:
 
 def series_to_csv(series: CoeffSeries, out: IO[str]) -> None:
     """Write `n,g` rows with plain decimal integers."""
+    import csv  # not needed to expand
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "g"])
     for n, g in enumerate(series.coeffs):

@@ -36,3 +36,35 @@ def test_harness_finds_every_name():
     doc = json.loads(proc.stdout)
     assert set(doc["status"].values()) == {"wrapped"}, doc["status"]
     assert doc["arc_work"] == [205, 1782]
+
+
+# the session worker's order: the package, a name from it, then the tracer
+SESSION_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import qprodasym
+from qprodasym import ProductSpec
+import tracer
+t = tracer.Tracer()
+t.install(tracer.TARGETS)
+traced = getattr(qprodasym.expand_spec, "perfbench_traced", False)
+qprodasym.expand_spec(ProductSpec((5,), (1,), (-1,)), 200)
+names = t.report()["names"]
+print(json.dumps({"status": t.status, "traced": traced,
+                  "expand_calls": names["qseries.expand_spec"][0]}))
+"""
+
+
+def test_session_path_traces_expand_once():
+    proc = subprocess.run(
+        [sys.executable, "-c", SESSION_PROBE, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench")],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    doc = json.loads(proc.stdout)
+    status = doc["status"]
+    assert status.pop("cli.main") == "unused"
+    assert set(status.values()) == {"wrapped"}, status
+    assert doc["traced"] is True
+    assert doc["expand_calls"] == 1

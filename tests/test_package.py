@@ -1,0 +1,124 @@
+"""The package namespace loads each submodule on first use.
+
+Every case runs in a fresh interpreter and compares ``sys.modules``
+before and after inside that process, so what ``site`` and pytest have
+already imported does not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the public names, fixed: a lazy namespace must not lose or add one
+NAMES = {
+    "ArcClass", "ArcDatum", "CoeffSeries", "DominantLevel", "HypothesisError",
+    "LogComplex", "ModularMatrix", "NoMajorArcsError", "ProductSpec",
+    "ResidueVerdict", "apply_factor", "arc_datum", "bessel_I_minus1",
+    "build_gamma", "check_assumption", "check_main_transform", "chi",
+    "classify_arcs", "compare", "dedekind_sum", "dedekind_sum6",
+    "dedekind_sum_fast", "default_K", "delta_arc", "dominant_levels",
+    "eval_Zh", "eval_eta", "eval_theta", "expand_spec", "g_asymptotic",
+    "g_asymptotic_members", "gcd0", "hbar", "lambda_int", "lambda_star",
+    "lcm_all", "leading_profile", "oracle_expand", "series_from_json",
+    "series_to_csv", "series_to_json", "sign_check",
+}
+
+# loaded by nothing that expand_spec runs
+NOT_FOR_EXPAND = {"fractions", "csv", "mpmath"}
+
+
+def _probe(code: str, *args: str):
+    """Run `code` in a fresh interpreter with src/ on the path; return the
+    JSON document on its only stdout line."""
+    script = "import json, sys\nsys.path.insert(0, sys.argv[1])\n" + code
+    proc = subprocess.run([sys.executable, "-c", script, SRC, *args],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    return json.loads(proc.stdout)
+
+
+def _package_modules(names):
+    return {m for m in names if m == "qprodasym" or m.startswith("qprodasym.")}
+
+
+def test_expand_session_loads_only_qseries():
+    loaded, during_call = _probe("""
+before = set(sys.modules)
+import qprodasym
+from qprodasym import ProductSpec, expand_spec
+loaded = set(sys.modules) - before
+spec = ProductSpec((5, 10, 10), (2, 2, 4), (-2, 1, 2))
+before = set(sys.modules)
+expand_spec(spec, 300)
+print(json.dumps([sorted(loaded), sorted(set(sys.modules) - before)]))
+""")
+    assert _package_modules(loaded) == {"qprodasym", "qprodasym.qseries"}
+    assert not NOT_FOR_EXPAND & set(loaded)
+    assert during_call == []
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    doc = _probe("""
+import qprodasym
+homes = {}
+for name in sys.argv[2:]:
+    exec(f"from qprodasym import {name} as obj")
+    home = sys.modules[obj.__module__]
+    homes[name] = [home.__name__, obj is getattr(home, name),
+                   obj is getattr(qprodasym, name)]
+print(json.dumps({"homes": homes, "all": qprodasym.__all__, "dir": dir(qprodasym)}))
+""", *sorted(NAMES))
+    for name, (home, is_home, is_package) in doc["homes"].items():
+        assert home.startswith("qprodasym."), name
+        assert is_home and is_package, name
+    assert set(doc["all"]) == NAMES
+    assert len(doc["all"]) == len(NAMES)
+    assert NAMES <= set(doc["dir"])
+
+
+def test_unknown_name_raises_and_submodules_still_import():
+    doc = _probe("""
+import qprodasym
+try:
+    qprodasym.no_such_name
+    raised = False
+except AttributeError:
+    raised = True
+from qprodasym import _backend, analysis, asymptotics
+print(json.dumps([raised, [m.__name__ for m in (_backend, analysis, asymptotics)]]))
+""")
+    assert doc == [True, ["qprodasym._backend", "qprodasym.analysis",
+                          "qprodasym.asymptotics"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "5:1:-1", "--order", "100", "--format", "csv"],
+    ["arcs", "5:1:-1", "--format", "text"],
+    ["asym", "5:1:-1", "--n", "500"],
+    ["compare", "5:1:-1", "--n-list", "100,200", "--format", "csv"],
+    ["analyze", "5:1:-1", "--depth", "1"],
+    ["signs", "5:1:1", "5:2:-1", "--mod", "5", "--range", "0..100"],
+    ["transform-test", "5:1:-1", "--samples", "2", "--seed", "0"],
+], ids=lambda argv: argv[0])
+def test_cli_query_compiles_no_package_code(argv):
+    """The CLI stays eager: a timed query imports no package module.
+
+    argparse may load ``locale`` on its first parse, so only the package
+    and the modules the package defers are checked."""
+    rc, loaded = _probe("""
+import contextlib, io
+import qprodasym.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qprodasym.cli.main(sys.argv[2:])
+print(json.dumps([rc, sorted(set(sys.modules) - before)]))
+""", *argv)
+    assert rc == 0
+    assert not _package_modules(loaded)
+    assert not {"fractions", "csv"} & set(loaded)
