@@ -13,8 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {
-    "arith": ("dedekind_sum", "dedekind_sum6", "dedekind_sum_fast", "gcd0",
-              "hbar", "lcm_all"),
+    "arith": ("dedekind_sum", "dedekind_sum_fast", "gcd0", "hbar"),
     "asymptotics": ("ArcClass", "ArcDatum", "HypothesisError", "LogComplex",
                     "arc_datum", "bessel_I_minus1", "check_assumption",
                     "classify_arcs", "default_K", "delta_arc", "g_asymptotic",
@@ -24,8 +23,8 @@ _HOME = {
     "qseries": ("CoeffSeries", "ProductSpec", "apply_factor", "expand_spec",
                 "oracle_expand", "series_from_json", "series_to_csv",
                 "series_to_json"),
-    "transform": ("ModularMatrix", "build_gamma", "check_main_transform", "chi",
-                  "eval_Zh", "eval_eta", "eval_theta"),
+    "transform": ("ModularMatrix", "check_main_transform", "chi", "eval_Zh",
+                  "eval_eta", "eval_theta"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .arith import lcm_all
 from .asymptotics import (HypothesisError, _level_sums, _level_terms,
                           _major_classes, _require_assumption, _unit,
                           g_asymptotic)
@@ -22,7 +21,7 @@ from .qseries import ProductSpec, expand_spec
 VANISH_RATIO = 1e-9
 
 
-class NoMajorArcsError(ValueError):
+class NoMajorArcsError(HypothesisError):
     """The positive-Delta class set is empty; no dominant term exists."""
 
 
@@ -112,7 +111,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
         contributing = [m for m in level.members if m in present]
         if not contributing:
             continue
-        P = lcm_all([k for _, _, k in contributing])
+        P = math.lcm(*(k for _, _, k in contributing))
         scale = 0.0
         amps = []
         for n0 in range(P):

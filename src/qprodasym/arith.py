@@ -5,17 +5,17 @@ Everything here is computed in exact arithmetic (Python integers and
 phase bookkeeping of the main sum needs a modular inverse and the integer
 6c s(d, c) per arc factor; :func:`inverse_dedekind6` gives both from one
 Euclid pass, so no ``Fraction`` is built; the eta multiplier of
-:mod:`transform` uses the same pass.  :func:`dedekind_sum_fast` and
-:func:`dedekind_sum6` have no caller in the package: they stay as public
-API and as the oracle chain from the rational :func:`dedekind_sum` down
-to :func:`inverse_dedekind6`.
+:mod:`transform` uses the same pass.  :func:`dedekind_sum_fast` has no
+caller in the package: it stays as public API and as the middle of the
+oracle chain :func:`dedekind_sum` -> :func:`dedekind_sum_fast` ->
+:func:`inverse_dedekind6`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def gcd0(a: int, b: int) -> int:
@@ -28,16 +28,6 @@ def gcd0(a: int, b: int) -> int:
     if a < 0:
         raise ValueError("a must be nonnegative")
     return math.gcd(a, b)
-
-
-def lcm_all(ms: Iterable[int]) -> int:
-    """Least common multiple of a nonempty sequence of positive integers."""
-    ms = list(ms)
-    if not ms:
-        raise ValueError("lcm_all needs at least one modulus")
-    if any(m < 1 for m in ms):
-        raise ValueError("moduli must be positive")
-    return math.lcm(*ms)
 
 
 def hbar(m: int, h: int, k: int) -> int:
@@ -102,30 +92,6 @@ def dedekind_sum_fast(d: int, c: int) -> Fraction:
     return result
 
 
-def dedekind_sum6(d: int, c: int) -> int:
-    """The integer 6c * s(d, c), computed without rationals.
-
-    Agrees exactly with ``6 * c * dedekind_sum(d, c)``.  Reciprocity
-    multiplied through by 12cd reads
-    2d * S(d, c) + 2c * S(c, d) = d^2 + c^2 + 1 - 3cd  for S(d, c) = 6c s(d, c),
-    so S(d, c) follows from S(c mod d, d) by one exact integer division;
-    the Euclidean chain ends at S(0, 1) = 0.
-    """
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    if math.gcd(d, c) != 1:
-        raise ValueError("need gcd(d, c) = 1")
-    d %= c
-    chain = []
-    while d:
-        chain.append((d, c))
-        c, d = d, c % d
-    S = 0
-    for d, c in reversed(chain):
-        S = (d * d + c * c + 1 - 3 * c * d - 2 * c * S) // (2 * d)
-    return S
-
-
 def inverse_dedekind6(d: int, c: int) -> tuple[int, int]:
     """(d^-1 mod c, 6c * s(d, c)) from one forward Euclid pass.
 
@@ -134,7 +100,7 @@ def inverse_dedekind6(d: int, c: int) -> tuple[int, int]:
     12 s(d, c) = sum_i (-1)^{i+1} a_i + (d + d*)/c - 3 [t odd],
     where d* is the Bezout coefficient of d that the same pass carries:
     d^-1 mod c when t is odd, d^-1 mod c - c when t is even.  Agrees with
-    ``(pow(d, -1, c), dedekind_sum6(d, c))``; c = 1 gives (0, 0).
+    ``(pow(d, -1, c), 6 * c * dedekind_sum_fast(d, c))``; c = 1 gives (0, 0).
     """
     if c < 1:
         raise ValueError("c must be a positive integer")

@@ -26,8 +26,8 @@ from .qseries import ProductSpec
 
 
 class HypothesisError(ValueError):
-    """Raised when a hypothesis of the asymptotic formula fails
-    (the assumption inequality, or n out of the admissible range)."""
+    """Raised when a hypothesis of the asymptotic formula fails (the
+    assumption inequality, n out of the admissible range, or no major arcs)."""
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,11 @@ def arc_datum(spec: ProductSpec, h: int, k: int,
     valid choice (shifts by multiples of k/gcd(m_j, k)) leaves the phase
     and Pi unchanged.
     """
+    # without an override the kernel takes its modulus-grouped path, the
+    # one the main sum runs
+    num, pi = _arc_phase(spec, h, k, hbars)
     if hbars is None:
-        hbars = tuple(hbar(m, h, k) for m in spec.m)
-    num, pi = _arc_phase(spec, h, k, tuple(hbars))
+        hbars = [hbar(m, h, k) for m in spec.m]
     return ArcDatum(h, k,
                     tuple(lambda_int(m, r, h, k) for m, r in zip(spec.m, spec.r)),
                     tuple(lambda_star(m, r, h, k) for m, r in zip(spec.m, spec.r)),

@@ -249,10 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SpecParseError as exc:
-        print(f"qprodasym: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (asymptotics.HypothesisError, analysis.NoMajorArcsError) as exc:
+    except asymptotics.HypothesisError as exc:
         print(f"qprodasym: hypothesis failure: {exc}", file=sys.stderr)
         return HYPOTHESIS_ERROR
     except (ValueError, OverflowError) as exc:

@@ -38,20 +38,6 @@ class ModularMatrix:
         return 1 / (self.c * tau + self.d)
 
 
-def build_gamma(m: int, h: int, k: int) -> ModularMatrix:
-    """The SL2(Z) matrix that straightens m*tau near the arc at h/k.
-
-    Entries are (t, -b, k', -m'h) with d = gcd(m, k), m' = m/d, k' = k/d,
-    t the canonical modular inverse from :func:`arith.hbar` and
-    b = (t m' h + 1)/k'.
-    """
-    d = gcd0(m, k)
-    mp_, kp = m // d, k // d
-    t = hbar(m, h, k)
-    b = (t * mp_ * h + 1) // kp
-    return ModularMatrix(t, -b, kp, -mp_ * h)
-
-
 def default_terms(min_im: float) -> int:
     """Cap on the factors of a product with Im(tau) >= min_im.
 

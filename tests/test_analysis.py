@@ -68,7 +68,7 @@ class TestDominantLevels:
 class TestLeadingProfile:
     def test_hypothesis_failure(self):
         # the inequality fails at (2, 6) and (4, 6); no sign profile is given
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="hypothesis inequality fails"):
             leading_profile(ProductSpec((3, 6), (1, 3), (1, -2)))
 
     def test_constant_positive_profile(self):
@@ -141,7 +141,7 @@ class TestCompare:
         def expand(spec, N):
             pytest.fail(f"expanded to N = {N} before checking every n")
         monkeypatch.setattr(analysis, "expand_spec", expand)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="violates n > -Omega/24"):
             compare(P5, [10**6, 0])
 
     @pytest.mark.parametrize("K", [0, -3])

@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum6,
-                             dedekind_sum_fast, gcd0, hbar, inverse_dedekind6,
-                             lcm_all, sawtooth)
+from qprodasym.arith import (coprime_residues, dedekind_sum, dedekind_sum_fast,
+                             gcd0, hbar, inverse_dedekind6, sawtooth)
 
 
 class TestGcd0:
@@ -29,20 +28,6 @@ class TestGcd0:
             gcd0(3, 0)
         with pytest.raises(ValueError):
             gcd0(-1, 5)
-
-
-class TestLcmAll:
-    def test_examples(self):
-        assert lcm_all([5]) == 5
-        assert lcm_all([5, 10, 10]) == 10
-        assert lcm_all([5, 5]) == 5
-        assert lcm_all([4, 6]) == 12
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            lcm_all([])
-        with pytest.raises(ValueError):
-            lcm_all([5, 0])
 
 
 class TestHbar:
@@ -138,38 +123,25 @@ class TestDedekindSum:
 
 
 class TestDedekindSum6:
+    """The integer 6c s(d, c) that the main sum takes from inverse_dedekind6."""
+
     def test_matches_direct_sum(self):
         # every coprime pair with c <= 60 against the rational direct sum
         for c in range(1, 61):
             for d in range(c):
                 if math.gcd(d, c) == 1:
-                    assert dedekind_sum6(d, c) == 6 * c * dedekind_sum(d, c)
+                    assert inverse_dedekind6(d, c)[1] == 6 * c * dedekind_sum(d, c)
 
     def test_matches_integer_sawtooth_sum(self):
         # every coprime pair with c <= 200: 4c^2 s(d, c) is the integer
         # sum over 0 < n < c of (2 (dn mod c) - c)(2n - c), so
-        # 2c * (6c s) = 3 * that sum; checked also against the rational
-        # reciprocity recursion
+        # 2c * (6c s) = 3 * that sum
         for c in range(1, 201):
             for d in range(c):
                 if math.gcd(d, c) != 1:
                     continue
                 direct = sum((2 * (d * n % c) - c) * (2 * n - c) for n in range(1, c))
-                s6 = dedekind_sum6(d, c)
-                assert 2 * c * s6 == 3 * direct
-                assert s6 == 6 * c * dedekind_sum_fast(d, c)
-
-    def test_any_representative(self):
-        for c in (1, 7, 12, 60):
-            for d in range(-2 * c, 2 * c):
-                if math.gcd(d, c) == 1:
-                    assert dedekind_sum6(d, c) == 6 * c * dedekind_sum_fast(d, c)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            dedekind_sum6(2, 4)
-        with pytest.raises(ValueError):
-            dedekind_sum6(1, 0)
+                assert 2 * c * inverse_dedekind6(d, c)[1] == 3 * direct
 
 
 class TestInverseDedekind6:
@@ -179,8 +151,8 @@ class TestInverseDedekind6:
         for c in range(2, 401):
             for d in range(c):
                 if math.gcd(d, c) == 1:
-                    assert inverse_dedekind6(d, c) == (pow(d, -1, c),
-                                                       dedekind_sum6(d, c))
+                    assert inverse_dedekind6(d, c) == (
+                        pow(d, -1, c), 6 * c * dedekind_sum_fast(d, c))
 
     def test_trivial_modulus(self):
         assert inverse_dedekind6(0, 1) == (0, 0)

@@ -257,6 +257,24 @@ class TestArcDatum:
         with pytest.raises(ValueError):
             arc_datum(TG, 3, 7, hbars=tuple(hb + 1 for hb in base.hbars))
 
+    def test_runs_the_main_sum_kernel_path(self, monkeypatch):
+        # without an override the kernel makes one Euclid pass per distinct
+        # modulus (TG has moduli 5, 10, 10), as in the main sum; an explicit
+        # override makes one per factor
+        calls = []
+        real = asymptotics.inverse_dedekind6
+
+        def counted(d, c):
+            calls.append((d, c))
+            return real(d, c)
+
+        monkeypatch.setattr(asymptotics, "inverse_dedekind6", counted)
+        base = arc_datum(TG, 3, 7)
+        assert len(calls) == 2
+        calls.clear()
+        assert arc_datum(TG, 3, 7, hbars=base.hbars) == base
+        assert len(calls) == 3
+
 
 def fraction_arc_datum(spec, h, k, hbars=None):
     """Oracle: the per-arc phase and Pi assembled term by term in Fraction."""

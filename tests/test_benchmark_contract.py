@@ -68,3 +68,23 @@ def test_session_path_traces_expand_once():
     assert set(status.values()) == {"wrapped"}, status
     assert doc["traced"] is True
     assert doc["expand_calls"] == 1
+
+
+# the reference generator imports its oracle from the package
+REFERENCE_PROBE = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import make_reference
+import qprodasym.qseries
+assert make_reference.oracle_expand is qprodasym.qseries.oracle_expand
+"""
+
+
+def test_make_reference_imports_its_oracle():
+    proc = subprocess.run(
+        [sys.executable, "-c", REFERENCE_PROBE, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ""

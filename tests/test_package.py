@@ -19,12 +19,11 @@ NAMES = {
     "ArcClass", "ArcDatum", "CoeffSeries", "DominantLevel", "HypothesisError",
     "LogComplex", "ModularMatrix", "NoMajorArcsError", "ProductSpec",
     "ResidueVerdict", "apply_factor", "arc_datum", "bessel_I_minus1",
-    "build_gamma", "check_assumption", "check_main_transform", "chi",
-    "classify_arcs", "compare", "dedekind_sum", "dedekind_sum6",
-    "dedekind_sum_fast", "default_K", "delta_arc", "dominant_levels",
-    "eval_Zh", "eval_eta", "eval_theta", "expand_spec", "g_asymptotic",
-    "g_asymptotic_members", "gcd0", "hbar", "lambda_int", "lambda_star",
-    "lcm_all", "leading_profile", "oracle_expand", "series_from_json",
+    "check_assumption", "check_main_transform", "chi", "classify_arcs",
+    "compare", "dedekind_sum", "dedekind_sum_fast", "default_K", "delta_arc",
+    "dominant_levels", "eval_Zh", "eval_eta", "eval_theta", "expand_spec",
+    "g_asymptotic", "g_asymptotic_members", "gcd0", "hbar", "lambda_int",
+    "lambda_star", "leading_profile", "oracle_expand", "series_from_json",
     "series_to_csv", "series_to_json", "sign_check",
 }
 

@@ -12,8 +12,7 @@ import pytest
 
 from fractions import Fraction
 
-from qprodasym import (ModularMatrix, ProductSpec, build_gamma,
-                       check_main_transform, chi)
+from qprodasym import ModularMatrix, ProductSpec, check_main_transform, chi
 from qprodasym._backend import get_backend
 from qprodasym.asymptotics import _delta_num
 from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
@@ -49,18 +48,6 @@ class TestModularMatrix:
         s = ModularMatrix(0, -1, 1, 0)
         assert s.mobius(2j) == (-1) / (2j)
         assert s.mobius_star(2j) == 1 / (2j)
-
-    def test_build_gamma_unimodular(self):
-        for m in (2, 3, 5, 10, 12):
-            for k in range(1, 30):
-                for h in range(k):
-                    if math.gcd(h, k) != 1:
-                        continue
-                    g = build_gamma(m, h, k)
-                    d = math.gcd(m, k)
-                    assert g.a * g.d - g.b * g.c == 1
-                    assert g.c == k // d
-                    assert g.d == -(m // d) * h
 
 
 class TestEta:
