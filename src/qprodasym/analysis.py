@@ -9,14 +9,13 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
 from .asymptotics import (HypothesisError, _level_sums, _level_terms,
                           _major_classes, _require_assumption, _unit,
                           g_asymptotic)
-from .qseries import ProductSpec, expand_spec
+from .qseries import ProductSpec, _Record, expand_spec
 
 VANISH_RATIO = 1e-9
 
@@ -25,8 +24,7 @@ class NoMajorArcsError(HypothesisError):
     """The positive-Delta class set is empty; no dominant term exists."""
 
 
-@dataclass(frozen=True)
-class DominantLevel:
+class DominantLevel(_Record):
     """One distinct value of sqrt(Delta(kappa, ell))/k and its attaining triples."""
 
     ratio_squared: Fraction              # Delta / k^2, exact; used for grouping
@@ -70,8 +68,7 @@ def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
     return levels[:depth]
 
 
-@dataclass(frozen=True)
-class ResidueVerdict:
+class ResidueVerdict(_Record):
     """Per-residue sign/vanishing verdict for the leading amplitude A(n).
 
     `signs[rho]` is 'positive', 'negative' or 'vanishing'; amplitudes carry
@@ -134,8 +131,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
                           levels=levels)
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(_Record):
     n: int
     exact: int
     log_abs_exact: float | None
@@ -173,8 +169,7 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None
     return rows
 
 
-@dataclass(frozen=True)
-class ResidueScan:
+class ResidueScan(_Record):
     residue: int
     verdict: str            # all-positive / all-negative / all-zero / mixed
     first_counterexample: int | None

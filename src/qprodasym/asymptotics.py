@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from ._backend import DOUBLE
 from .arith import gcd0, hbar, inverse_dedekind6
-from .qseries import ProductSpec
+from .qseries import ProductSpec, _Record
 
 
 class HypothesisError(ValueError):
@@ -69,8 +68,7 @@ def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     return Fraction(_delta_num(spec, kappa, ell), spec.L)
 
 
-@dataclass(frozen=True)
-class ArcClass:
+class ArcClass(_Record):
     """A residue class (kappa, ell) of Farey fractions, with its Delta."""
 
     kappa: int
@@ -190,8 +188,7 @@ def _pi_value(factors):
     return value
 
 
-@dataclass(frozen=True)
-class ArcDatum:
+class ArcDatum(_Record):
     """All exact per-arc data entering one term of the main sum."""
 
     h: int
@@ -321,8 +318,7 @@ def arc_datum(spec: ProductSpec, h: int, k: int,
 # log-space complex values and the Bessel factor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogComplex:
+class LogComplex(_Record):
     """(log-magnitude, argument) pair; overflow-safe product/sum arithmetic."""
 
     log_mag: float
@@ -564,7 +560,9 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     :func:`g_asymptotic_members` checks the hypothesis inequality on
     `spec.arcs` before the members of each level k, the classes in its
     positive cells, are generated from it.  Classes with
-    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.
+    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.  If no
+    level k <= K has a member, the sum is empty and ValueError names the
+    first k that has one.
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -572,17 +570,31 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     if K is None:
         K = default_K(spec, n)
     L = spec.L
+    positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
+
+    def level(k):
+        """(ell, the kappas of the members at level k)."""
+        ell = (k - 1) % L + 1
+        kappas = positive.get(ell)
+        if kappas is None:
+            kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
+        g = math.gcd(ell, k)
+        return ell, [kappa for kappa in kappas if math.gcd(kappa, g) == 1]
 
     def members():
-        positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
+        empty = True
         for k in range(1, K + 1):
-            ell = (k - 1) % L + 1
-            kappas = positive.get(ell)
-            if kappas is None:
-                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
-            g = math.gcd(ell, k)
+            ell, kappas = level(k)
             for kappa in kappas:
-                if math.gcd(kappa, g) == 1:
-                    yield kappa, ell, k
+                yield kappa, ell, k
+            empty = empty and not kappas
+        if empty:
+            # a class with a member at k = ell + jL has one at k = ell + L,
+            # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
+            first = next((k for k in range(K + 1, 2 * L + 1) if level(k)[1]), None)
+            if first is None:
+                raise HypothesisError("no major-arc class has an admissible h at any level k")
+            raise ValueError(f"the main sum is empty for K = {K}: "
+                             f"its first term is at level k = {first}")
 
     return g_asymptotic_members(spec, n, members())

@@ -24,14 +24,79 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import IO, Sequence
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields as class annotations, in order; a class
+    attribute of the same name is that field's default.  Instances take
+    the fields positionally or by keyword, then run `__post_init__`; they
+    refuse assignment and deletion, compare equal only to an instance of
+    the same class with equal fields, hash as the tuple of their fields
+    and print as ``Name(f=v, ...)``.  Set-up code may still write through
+    ``object.__setattr__``, and `functools.cached_property` caches in the
+    instance ``__dict__``.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        get = attrgetter(*fields)  # a bare value, not a tuple, for one field
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for f, v in kwargs.items():
+            if f not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {f!r}")
+            if f in values:
+                raise TypeError(f"{name}() got multiple values for argument {f!r}")
+            values[f] = v
+        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return [values.get(f, cls._defaults.get(f)) for f in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self._values(self))) + ")"
+
+
+class ProductSpec(_Record):
     """The triple (m, r, delta) defining the infinite product.
 
     Invariants: the three tuples share length J >= 1, 1 <= r_j < m_j and
@@ -84,8 +149,7 @@ class ProductSpec:
         return ProductSpec(self.m, self.r, tuple(-d for d in self.delta))
 
 
-@dataclass(frozen=True)
-class CoeffSeries:
+class CoeffSeries(_Record):
     """Truncated Taylor coefficients g(0..N) as exact integers."""
 
     coeffs: tuple[int, ...]

@@ -8,18 +8,16 @@ absorb truncation and rounding of the evaluations themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._backend import get_backend
 from .arith import gcd0, hbar, inverse_dedekind6
 from .asymptotics import lambda_int, _arc_phase, _delta_num, _unit
-from .qseries import ProductSpec
+from .qseries import ProductSpec, _Record
 
 _MAX_TERMS = 200_000
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
+class ModularMatrix(_Record):
     """An SL2(Z) matrix (a, b; c, d); transformations assume c > 0."""
 
     a: int

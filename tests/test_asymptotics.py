@@ -18,9 +18,9 @@ from qprodasym import (HypothesisError, LogComplex, ProductSpec,
 from qprodasym import analysis, asymptotics
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
-                                   _arc_phase, _arc_table, _bessel_i1_asym_log,
-                                   _bessel_i1_series_log, _level_sums,
-                                   _level_terms, _unit)
+                                   _arc_kernel, _arc_phase, _arc_table,
+                                   _bessel_i1_asym_log, _bessel_i1_series_log,
+                                   _level_sums, _level_terms, _unit)
 from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
@@ -478,6 +478,46 @@ def _oneshot_pool(centre):
     return sorted({round(10 ** (3 + (centre + j / 100) / 3)) for j in range(-3, 4)})
 
 
+def _kernel_specs():
+    rng = random.Random(83)
+    return ([parse_spec(text.split()) for text in ONESHOT_ASYM]
+            + [random_spec(rng, max_j=4, max_m=12) for _ in range(20)])
+
+
+class TestKernelInvariants:
+    """Integer facts about `_arc_kernel` over every h coprime to k < 60, on
+    the oneshot specs and 20 random ones; a k-free bound on |Pi| and an
+    h -> k - h symmetry of the level pass rest on them."""
+
+    K_MAX = 60
+
+    @pytest.mark.parametrize("spec", _kernel_specs(), ids=str)
+    def test_pi_numerators_are_nonzero_multiples_of_k(self, spec):
+        # so each factor is 1 - e^{2 pi i t/m_j} with 0 < t < m_j, and
+        # |Pi| <= prod_{delta>0} 2^delta prod_{delta<0} (2 sin(pi/m_j))^delta
+        checked = 0
+        for k in range(1, self.K_MAX):
+            for _, _, pi in _arc_kernel(spec, k, coprime_residues(k)):
+                for x, den, _ in pi:
+                    assert den % k == 0 and den // k in spec.m
+                    assert 0 < x < den and x % k == 0
+                    checked += 1
+        assert checked          # every factor has one at k = 1
+
+    @pytest.mark.parametrize("spec", _kernel_specs(), ids=str)
+    def test_reflection_h_to_k_minus_h(self, spec):
+        # Pi(k - h) = Pi(h), and num(k - h) = C_k - num(h) mod 6 L k with
+        # one constant C_k per level
+        for k in range(2, self.K_MAX):
+            arcs = {h: (num, pi) for h, num, pi in _arc_kernel(spec, k, coprime_residues(k))}
+            constants = set()
+            for h, (num, pi) in arcs.items():
+                num2, pi2 = arcs[k - h]
+                assert pi2 == pi
+                constants.add((num + num2) % (6 * spec.L * k))
+            assert len(constants) == 1
+
+
 class TestFloatMainSum:
     """g_asymptotic equals the LogComplex accumulation over every member of
     the positive cells (dead classes included), float for float."""
@@ -494,6 +534,11 @@ class TestFloatMainSum:
         spec = parse_spec(text.split())
         for n in _oneshot_pool(ONESHOT_ASYM[text]):
             for K in (None, 1, 5, 17):
+                if text == "5:1:1 5:2:-1" and K == 1:
+                    # RR has no major class at k = 1: the truncated sum is empty
+                    with pytest.raises(ValueError, match=r"K = 1: its first term is at level k = 5$"):
+                        g_asymptotic(spec, n, K)
+                    continue
                 self._check(spec, n, K)
 
     def test_random_specs(self):
@@ -685,6 +730,25 @@ class TestGAsymptotic:
         with pytest.raises(ValueError) as exc:
             g_asymptotic(P5, 100, K=K)
         assert not isinstance(exc.value, HypothesisError)
+
+    @pytest.mark.parametrize("spec, n, K", [
+        (ProductSpec((5,), (4,), (2,)), 0, None),       # default K = 1
+        (ProductSpec((5,), (4,), (2,)), 0, 4),
+        (RR, 1434, 1),
+    ], ids=["5:4:2 default K", "5:4:2 K=4", "RR K=1"])
+    def test_empty_sum_is_an_error(self, spec, n, K):
+        # no major class has a member at any level k <= K
+        with pytest.raises(ValueError, match=r"K = \d+: its first term is at level k = 5$") as exc:
+            g_asymptotic(spec, n, K)
+        assert not isinstance(exc.value, HypothesisError)
+        assert g_asymptotic(spec, n, 5).real_sign != 0
+        # an explicit empty member list still sums to nothing
+        assert g_asymptotic_members(spec, n, []).log_mag == float("-inf")
+
+    def test_no_term_at_any_level(self):
+        # the identity product has no major-arc class at all
+        with pytest.raises(HypothesisError, match="no major-arc class"):
+            g_asymptotic(ProductSpec((2, 2), (1, 1), (1, -1)), 10, 100)
 
     def test_non_major_member_rejected(self):
         with pytest.raises(ValueError):

@@ -27,8 +27,10 @@ NAMES = {
     "series_to_csv", "series_to_json", "sign_check",
 }
 
+# loaded by no session: the records need neither
+NO_RECORD_MACHINERY = {"dataclasses", "inspect"}
 # loaded by nothing that expand_spec runs
-NOT_FOR_EXPAND = {"fractions", "csv", "mpmath"}
+NOT_FOR_EXPAND = {"fractions", "csv", "mpmath"} | NO_RECORD_MACHINERY
 
 
 def _probe(code: str, *args: str):
@@ -60,6 +62,18 @@ print(json.dumps([sorted(loaded), sorted(set(sys.modules) - before)]))
     assert _package_modules(loaded) == {"qprodasym", "qprodasym.qseries"}
     assert not NOT_FOR_EXPAND & set(loaded)
     assert during_call == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The records are built without `dataclasses`, which would pull in
+    `inspect` (and with it `ast`, `dis` and `tokenize`) at start-up."""
+    loaded = _probe("""
+before = set(sys.modules)
+import qprodasym.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+""")
+    assert _package_modules(loaded)
+    assert not NO_RECORD_MACHINERY & set(loaded)
 
 
 def test_every_public_name_resolves_to_its_home_module():
