@@ -7,16 +7,20 @@ Product specifications are given as repeated `m:r:delta` triples, e.g.
     qprodasym analyze 5:2:-2 10:2:1 10:4:2
 
 Exit codes: 0 success, 1 usage error, 2 hypothesis failure.
+
+Plain argv is read straight from `COMMANDS`; argparse is imported only for
+help, errors and the forms the strict parser leaves to it, and the output is
+the same either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 from . import analysis, asymptotics, transform
 from .analysis import _fmt
@@ -28,13 +32,6 @@ HYPOTHESIS_ERROR = 2
 
 class SpecParseError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2; we reserve that
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
 
 
 def parse_spec(tokens: list[str]) -> ProductSpec:
@@ -132,7 +129,12 @@ def cmd_asym(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = parse_spec(args.spec)
-    n_values = [int(s) for s in args.n_list.split(",") if s]
+    n_values = []
+    for item in filter(None, args.n_list.split(",")):
+        try:
+            n_values.append(int(item))
+        except ValueError:
+            raise ValueError(f"--n-list item {item!r} is not an integer") from None
     if not n_values:
         raise ValueError(f"--n-list names no n: {args.n_list!r}")
     rows = analysis.compare(spec, n_values, args.K)
@@ -197,8 +199,9 @@ def cmd_transform_test(args) -> int:
 
 
 _K = {"--K": dict(type=int, default=None)}
+_OUT = {"--out": dict(default=None, help="write output to FILE")}
 
-# name -> (handler, help, options after spec and --out)
+# name -> (handler, help, options after spec and _OUT)
 COMMANDS = {
     "expand": (cmd_expand, "exact Taylor coefficients",
                {"--order": dict(type=int, required=True),
@@ -224,29 +227,78 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone when it names one."""
-    parser = _Parser(prog="qprodasym", description=__doc__,
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits with 2; we reserve that
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
+
+    # --help shows the docstring without its last paragraph, a note on the source
+    parser = _Parser(prog="qprodasym", description=__doc__.rsplit("\n\n", 1)[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in COMMANDS else COMMANDS:
         fn, help_, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         p.add_argument("spec", nargs="+", help="m:r:delta triples")
-        p.add_argument("--out", default=None, help="write output to FILE")
-        for flag, kwargs in options.items():
+        for flag, kwargs in {**_OUT, **options}.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give plain argv, read from `COMMANDS`.
+
+    Plain argv is a subcommand, one contiguous run of spec tokens and each
+    flag spelled in full at most once, followed by a non-empty value that
+    does not start with "-", converts and passes its choices, with every
+    required flag present.  Anything else gives None and is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, options = COMMANDS[argv[0]]
+    options = {**_OUT, **options}
+    spec, given, closed = [], {}, False
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            if closed:
+                return None
+            spec.append(tok)
+            continue
+        closed = bool(spec)
+        kwargs, value = options.get(tok), next(tokens, "")
+        if kwargs is None or tok in given or not value or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        given[tok] = value
+    if not spec or any(kw.get("required") and flag not in given
+                       for flag, kw in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], spec=spec, fn=fn, **{
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
+        for flag, kw in options.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # unrecognized arguments get the usage of the full parser
-    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        build_parser().parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        # unrecognized arguments get the usage of the full parser
+        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except asymptotics.HypothesisError as exc:

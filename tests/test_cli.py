@@ -6,12 +6,14 @@ import argparse
 import hashlib
 import json
 import os
+import random
 
 import mpmath
 import pytest
 
 from qprodasym import _backend, analysis, asymptotics
-from qprodasym.cli import build_parser, main, parse_spec, SpecParseError
+from qprodasym.cli import (COMMANDS, _parse_plain, build_parser, main, parse_spec,
+                           SpecParseError)
 
 from conftest import RR
 
@@ -495,6 +497,8 @@ class TestParser:
             case["code"], case["stdout"], case["stderr"])
 
     def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch):
+        """A plain query builds no parser, a bad value builds the invoked
+        subcommand's, and unrecognized arguments then build every one."""
         calls = []
         real = argparse._SubParsersAction.add_parser
 
@@ -504,7 +508,14 @@ class TestParser:
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         assert run(capsys, "asym", "5:1:-1", "--n", "100")[0] == 0
+        assert calls == []
+        with pytest.raises(SystemExit):
+            main(["asym", "5:1:-1", "--n", "x"])
         assert calls == ["asym"]
+        calls.clear()
+        with pytest.raises(SystemExit):
+            main(["asym", "5:1:-1", "--n", "100", "--bogus"])
+        assert calls == ["asym", *COMMANDS]
 
 
 with open(os.path.join(os.path.dirname(__file__), "cli_outputs.json"),
@@ -526,6 +537,68 @@ class TestOutputs:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             case["code"], case["stdout"], case["stderr"])
+
+
+class TestPlainParser:
+    """`_parse_plain` reads plain argv from `COMMANDS` and leaves every other
+    form to argparse, which is the reference: whatever it accepts, argparse
+    parses to the same namespace with nothing left over."""
+
+    FLAGS = sorted({"--out", *(f for _, _, opts in COMMANDS.values() for f in opts)})
+    CHOICES = sorted({c for _, _, opts in COMMANDS.values()
+                      for kw in opts.values() for c in kw.get("choices", ())})
+    SPECS = ["5:1:-1", "5:2:1", "10:4:2", "", "-5"]
+    ODD = ["--n=5", "--ord", "--", "-h", "--bogus"]
+    VALUES = ["0", "3", "100", "x", *CHOICES]
+
+    def _corpus(self):
+        """The argv of both JSON files, then subcommand x 0-7 tokens drawn
+        from one of four groups each, again with the subcommand's required
+        flags appended (each with a value), so that those subcommands are
+        accepted too."""
+        rng = random.Random(17)
+        groups = [self.SPECS, self.FLAGS, self.ODD, self.VALUES]
+        corpus = [c["argv"] for c in USAGE_CASES + OUTPUT_CASES]
+        for _ in range(50000):
+            name = rng.choice(list(COMMANDS))
+            argv = [name] + [rng.choice(rng.choice(groups))
+                             for _ in range(rng.randint(0, 7))]
+            required = [tok for flag, kw in COMMANDS[name][2].items()
+                        if kw.get("required") for tok in (flag, rng.choice(self.VALUES))]
+            corpus += [argv, argv + required] if required else [argv]
+        return corpus
+
+    def test_accepts_only_what_argparse_parses_alike(self, capsys):
+        parsers = {name: build_parser(name) for name in COMMANDS}
+        accepted = 0
+        for argv in self._corpus():
+            plain = _parse_plain(argv)
+            if plain is None:
+                continue
+            accepted += 1
+            # a repeated flag goes to argparse even where its last value agrees
+            dashed = [tok for tok in argv if tok.startswith("-")]
+            assert len(dashed) == len(set(dashed)), argv
+            try:
+                args, extra = parsers[argv[0]].parse_known_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv}: {capsys.readouterr().err}")
+            assert (vars(plain), extra) == (vars(args), []), argv
+        assert accepted >= 3000
+
+    @pytest.mark.parametrize("argv", [
+        [], ["asymm", "5:1:-1", "--n", "5"], ["asym", "-h"],
+        ["asym", "5:1:-1", "--n", "5", "--help"], ["asym", "5:1:-1", "--n=5"],
+        ["expand", "5:1:-1", "--ord", "5"], ["asym", "5:1:-1", "--", "--n", "5"],
+        ["asym", "5:1:-1", "--n", "-5"], ["asym", "-5:1:1", "--n", "5"],
+        ["asym", "5:1:-1", "--n", "5", "--n", "6"], ["asym", "5:1:-1", "--n", "x"],
+        ["asym", "5:1:-1", "--n", ""], ["asym", "5:1:-1", "--n"],
+        ["expand", "5:1:-1", "--order", "5", "--format", "xml"],
+        ["asym", "5:1:-1"], ["asym", "--n", "5"],
+        ["asym", "5:1:-1", "--n", "5", "5:2:1"],
+    ], ids=" ".join)
+    def test_leaves_other_forms_to_argparse(self, argv):
+        assert _parse_plain(argv) is None
 
 
 class TestReadme:

@@ -29,6 +29,8 @@ NAMES = {
 
 # loaded by no session: the records need neither
 NO_RECORD_MACHINERY = {"dataclasses", "inspect"}
+# loaded only when argparse prints help or an error; gettext loads locale
+ARGPARSE_AND_ITS_LOCALE = {"argparse", "gettext", "locale"}
 # loaded by nothing that expand_spec runs
 NOT_FOR_EXPAND = {"fractions", "csv", "mpmath"} | NO_RECORD_MACHINERY
 
@@ -76,6 +78,18 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     assert not NO_RECORD_MACHINERY & set(loaded)
 
 
+def test_cli_import_loads_no_argparse():
+    """Plain argv is parsed from `COMMANDS`; argparse is imported only for
+    help, errors and the forms the strict parser leaves to it."""
+    loaded = _probe("""
+before = set(sys.modules)
+import qprodasym.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+""")
+    assert _package_modules(loaded)
+    assert not ARGPARSE_AND_ITS_LOCALE & set(loaded)
+
+
 def test_every_public_name_resolves_to_its_home_module():
     doc = _probe("""
 import qprodasym
@@ -120,10 +134,8 @@ print(json.dumps([raised, [m.__name__ for m in (_backend, analysis, asymptotics)
     ["transform-test", "5:1:-1", "--samples", "2", "--seed", "0"],
 ], ids=lambda argv: argv[0])
 def test_cli_query_compiles_no_package_code(argv):
-    """The CLI stays eager: a timed query imports no package module.
-
-    argparse may load ``locale`` on its first parse, so only the package
-    and the modules the package defers are checked."""
+    """The CLI stays eager and parses plain argv without argparse: a timed
+    query imports no module at all."""
     rc, loaded = _probe("""
 import contextlib, io
 import qprodasym.cli
@@ -133,5 +145,4 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([rc, sorted(set(sys.modules) - before)]))
 """, *argv)
     assert rc == 0
-    assert not _package_modules(loaded)
-    assert not {"fractions", "csv"} & set(loaded)
+    assert loaded == []
