@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 from ._backend import DOUBLE
@@ -139,6 +140,23 @@ def classify_arcs(spec: ProductSpec) -> tuple[list[ArcClass], list[ArcClass]]:
     return positive, nonpositive
 
 
+def _failing_cells(spec: ProductSpec) -> dict[int, list[int]]:
+    """The cells c of `spec.arcs[D]` that fail the hypothesis inequality,
+    for each divisor D of L that has one."""
+    return {D: bad for D, cells in spec.arcs.items()
+            if (bad := [c for c, (dn, bn) in enumerate(cells) if 24 * bn < dn])}
+
+
+def _violations(spec: ProductSpec,
+                failing: dict[int, list[int]]) -> Iterator[tuple[int, int]]:
+    """Yield the classes (kappa, ell) of the `failing` cells by ell, then kappa."""
+    L = spec.L
+    for ell in range(1, L + 1):
+        D = math.gcd(ell, L)
+        # the classes kappa < ell in the cells c + D Z
+        yield from ((j + c, ell) for j in range(0, ell, D) for c in failing.get(D, ()))
+
+
 def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
     """Verify the hypothesis inequality on every residue class, exactly.
 
@@ -148,18 +166,7 @@ def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
     ordered by ell, then kappa; each divisor cell of `spec.arcs` is
     checked once.
     """
-    failing = {D: bad for D, cells in spec.arcs.items()
-               if (bad := [c for c, (dn, bn) in enumerate(cells) if 24 * bn < dn])}
-    violations = []
-    if failing:
-        L = spec.L
-        for ell in range(1, L + 1):
-            D = math.gcd(ell, L)
-            bad = failing.get(D)
-            if bad:
-                # the classes kappa < ell in the failing cells c + D Z
-                violations.extend((kappa, ell) for kappa in sorted(
-                    kappa for c in bad for kappa in range(c, ell, D)))
+    violations = list(_violations(spec, _failing_cells(spec)))
     return not violations, violations
 
 
@@ -499,12 +506,18 @@ def _require_range(spec: ProductSpec, n: int) -> None:
 def _require_assumption(spec: ProductSpec) -> None:
     """Raise HypothesisError where the hypothesis inequality fails, naming
     the number of failing classes and the first ten of them."""
-    ok, violations = check_assumption(spec)
-    if not ok:
-        shown = violations[:10]
-        first = f", the first {len(shown)}" if len(shown) < len(violations) else ""
+    failing = _failing_cells(spec)
+    if failing:
+        L = spec.L
+        # cell c of D stands for ell/D = t classes at each ell = D t <= L
+        # with gcd(ell, L) = D, that is gcd(t, L/D) = 1
+        count = sum(len(bad) * sum(t for t in range(1, L // D + 1)
+                                   if math.gcd(t, L // D) == 1)
+                    for D, bad in failing.items())
+        shown = list(islice(_violations(spec, failing), 10))
+        first = f", the first {len(shown)}" if len(shown) < count else ""
         raise HypothesisError(f"hypothesis inequality fails at "
-                              f"{len(violations)} classes{first}: {shown}")
+                              f"{count} classes{first}: {shown}")
 
 
 def g_asymptotic_members(spec: ProductSpec, n: int,

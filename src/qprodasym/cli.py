@@ -10,13 +10,15 @@ Exit codes: 0 success, 1 usage error, 2 hypothesis failure.
 
 Plain argv is read straight from `COMMANDS`; argparse is imported only for
 help, errors and the forms the strict parser leaves to it, and the output is
-the same either way.
+the same either way.  Each `cmd_*(spec, args)` only computes and returns a
+writer `out -> None`; `main` opens `--out` after it, writes and maps errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -36,7 +38,7 @@ class SpecParseError(ValueError):
 
 def parse_spec(tokens: list[str]) -> ProductSpec:
     """Parse `m:r:delta` triples into a ProductSpec, with positioned errors."""
-    ms, rs, ds = [], [], []
+    terms = []
     for pos, tok in enumerate(tokens, start=1):
         parts = tok.split(":")
         where = f"spec term {pos} ({tok!r})"
@@ -52,83 +54,73 @@ def parse_spec(tokens: list[str]) -> ProductSpec:
             raise SpecParseError(f"{where}: r out of range (need 1 <= r < m)")
         if d == 0:
             raise SpecParseError(f"{where}: delta must be nonzero")
-        ms.append(m)
-        rs.append(r)
-        ds.append(d)
-    if not ms:
+        terms.append((m, r, d))
+    if not terms:
         raise SpecParseError("empty specification")
-    return ProductSpec(tuple(ms), tuple(rs), tuple(ds))
+    return ProductSpec(*zip(*terms))
 
 
 def _out_stream(path: str | None):
-    if path is None:
-        return nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def cmd_expand(args) -> int:
-    spec = parse_spec(args.spec)
+def _text(text: str):
+    return lambda out: out.write(text)
+
+
+def _json(doc):
+    """The writer of `doc` as compact, key-sorted JSON and a newline."""
+    return _text(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+
+
+def cmd_expand(spec: ProductSpec, args):
     series = expand_spec(spec, args.order)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            out.write(series_to_json(series) + "\n")
-        else:
-            series_to_csv(series, out)
-    return 0
+    if args.format == "json":
+        return _text(series_to_json(series) + "\n")
+    return lambda out: series_to_csv(series, out)
 
 
-def cmd_arcs(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_arcs(spec: ProductSpec, args):
     positive, nonpositive = [], []
     for kappa, ell, dn in asymptotics._classes(spec):
         (positive if dn > 0 else nonpositive).append([kappa, ell])
     ok, violations = asymptotics.check_assumption(spec)
-    doc = {
-        "L": spec.L,
-        "Omega": str(spec.omega),
-        "positive_classes": positive,
-        "nonpositive_classes": nonpositive,
-        "assumption": ok,
-        "violations": [list(v) for v in violations],
-    }
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
-        else:
-            out.write(f"L = {spec.L}\n")
-            out.write(f"Omega = {spec.omega}\n")
-            out.write("positive classes: "
-                      + ", ".join(f"({k},{l})" for k, l in positive) + "\n")
-            out.write(f"assumption satisfied: {ok}\n")
-            if violations:
-                out.write("violations: "
-                          + ", ".join(f"({k},{l})" for k, l in violations) + "\n")
-    return 0
+    if args.format == "json":
+        return _json({
+            "L": spec.L,
+            "Omega": str(spec.omega),
+            "positive_classes": positive,
+            "nonpositive_classes": nonpositive,
+            "assumption": ok,
+            "violations": [list(v) for v in violations],
+        })
+    text = (f"L = {spec.L}\n"
+            f"Omega = {spec.omega}\n"
+            "positive classes: " + ", ".join(f"({k},{l})" for k, l in positive) + "\n"
+            f"assumption satisfied: {ok}\n")
+    if violations:
+        text += "violations: " + ", ".join(f"({k},{l})" for k, l in violations) + "\n"
+    return _text(text)
 
 
-def cmd_asym(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_asym(spec: ProductSpec, args):
     # hypothesis validation happens inside g_asymptotic, before the default
     # truncation bound is evaluated (it is undefined for out-of-range n)
     value = asymptotics.g_asymptotic(spec, args.n, args.K)
     K = args.K if args.K is not None else asymptotics.default_K(spec, args.n)
-    doc = {
+    return _json({
         "n": args.n,
         "K": K,
         "sign": value.real_sign,
         "log_abs": _fmt(value.log_abs_real()),
         "imag_over_real": _fmt(value.imag_over_real()),
-    }
-    with _out_stream(args.out) as out:
-        out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
-    return 0
+    })
 
 
-def cmd_compare(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_compare(spec: ProductSpec, args):
     n_values = []
     for item in filter(None, args.n_list.split(",")):
         try:
@@ -138,19 +130,15 @@ def cmd_compare(args) -> int:
     if not n_values:
         raise ValueError(f"--n-list names no n: {args.n_list!r}")
     rows = analysis.compare(spec, n_values, args.K)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            out.write(analysis.compare_to_json(rows) + "\n")
-        else:
-            analysis.compare_to_csv(rows, out)
-    return 0
+    if args.format == "json":
+        return _text(analysis.compare_to_json(rows) + "\n")
+    return lambda out: analysis.compare_to_csv(rows, out)
 
 
-def cmd_analyze(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_analyze(spec: ProductSpec, args):
     # the profile checks the hypothesis inequality before it ranks the levels
     verdict = analysis.leading_profile(spec, args.depth)
-    doc = {
+    return _json({
         "levels": [{"value": _fmt(lv.value),
                     "members": [list(m) for m in lv.members]} for lv in verdict.levels],
         "modulus": verdict.modulus,
@@ -158,44 +146,31 @@ def cmd_analyze(args) -> int:
         "amplitudes": [_fmt(a) for a in verdict.amplitudes],
         "level_index": verdict.level_index,
         "inconclusive": verdict.inconclusive,
-    }
-    with _out_stream(args.out) as out:
-        out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
-    return 0
+    })
 
 
-def cmd_signs(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_signs(spec: ProductSpec, args):
     try:
         lo, hi = (int(x) for x in args.range.split(".."))
     except ValueError:
         raise SpecParseError("--range expects the form a..b") from None
     scans = analysis.sign_check(spec, args.mod, lo, hi)
-    doc = [{"residue": s.residue, "verdict": s.verdict,
-            "first_counterexample": s.first_counterexample} for s in scans]
-    with _out_stream(args.out) as out:
-        out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
-    return 0
+    return _json([{"residue": s.residue, "verdict": s.verdict,
+                   "first_counterexample": s.first_counterexample} for s in scans])
 
 
-def cmd_transform_test(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_transform_test(spec: ProductSpec, args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):
         k = rng.randint(1, 20)
-        hs = [h for h in range(k) if math.gcd(h, k) == 1]
-        h = rng.choice(hs)
+        h = rng.choice([h for h in range(k) if math.gcd(h, k) == 1])
         z = complex(rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2))
-        disc = transform.check_main_transform(spec, h, k, z,
-                                              precision=args.precision)
-        worst = max(worst, disc)
-    doc = {"samples": args.samples, "max_discrepancy": _fmt(worst)}
-    with _out_stream(args.out) as out:
-        out.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
-    return 0
+        worst = max(worst, transform.check_main_transform(
+            spec, h, k, z, precision=args.precision))
+    return _json({"samples": args.samples, "max_discrepancy": _fmt(worst)})
 
 
 _K = {"--K": dict(type=int, default=None)}
@@ -291,8 +266,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = _parse_plain(argv)
     if args is None:
         # unrecognized arguments get the usage of the full parser
@@ -300,13 +274,23 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        write = args.fn(parse_spec(args.spec), args)
+        with _out_stream(args.out) as out:
+            write(out)
+            out.flush()
+        return 0
     except asymptotics.HypothesisError as exc:
-        print(f"qprodasym: hypothesis failure: {exc}", file=sys.stderr)
-        return HYPOTHESIS_ERROR
+        code, message = HYPOTHESIS_ERROR, f"hypothesis failure: {exc}"
     except (ValueError, OverflowError) as exc:
-        print(f"qprodasym: error: {exc}", file=sys.stderr)
+        code, message = USAGE_ERROR, f"error: {exc}"
+    except MemoryError:
+        code, message = USAGE_ERROR, "error: not enough memory for this query"
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
+    print(f"qprodasym: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -197,6 +197,46 @@ class TestArcTable:
         assert calls == []
 
 
+class TestHypothesisFailure:
+    """The HypothesisError of a failing spec counts its classes from the
+    divisor cells and lists the first ten from the walk check_assumption
+    makes."""
+
+    @staticmethod
+    def _failing_specs():
+        rng = random.Random(46)
+        drawn = []
+        while len(drawn) < 25:
+            spec = random_spec(rng, max_j=3, max_m=30, max_delta=13)
+            if spec.L <= 420 and not check_assumption(spec)[0]:
+                drawn.append(spec)
+        return drawn
+
+    def test_count_and_first_ten_match_the_enumeration(self):
+        for spec in self._failing_specs():
+            _, violations = check_assumption(spec)
+            shown = violations[:10]
+            first = ", the first 10" if len(violations) > 10 else ""
+            with pytest.raises(HypothesisError) as exc:
+                asymptotics._require_assumption(spec)
+            assert str(exc.value) == (f"hypothesis inequality fails at "
+                                      f"{len(violations)} classes{first}: {shown}")
+
+    def test_large_L_stays_small(self):
+        # L = 9240: 31,931,311 failing classes, which the full list held
+        # at about 3 GB
+        spec = ProductSpec((2, 9240), (1, 1), (-13, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(HypothesisError, match="fails at 31931311 classes, "
+                               r"the first 10: \[\(0, 1\), \(0, 2\), \(0, 3\)"):
+                asymptotics._require_assumption(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000_000
+
+
 class TestDeltaClassInvariance:
     def test_delta_depends_only_on_residue_class(self):
         # Delta(h, k) = Delta(h mod ell, ell) for ell = ((k-1) mod L) + 1
@@ -686,7 +726,7 @@ class TestGAsymptotic:
     def test_hypotheses_checked_once(self, monkeypatch):
         # one divisor-cell table per spec, read by the check and the level
         # pass of every call; no full classification
-        calls = {"table": 0, "check": 0, "classify": 0}
+        calls = {"table": 0, "cells": 0, "classify": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -696,14 +736,14 @@ class TestGAsymptotic:
 
         monkeypatch.setattr(asymptotics, "_arc_table",
                             counted("table", asymptotics._arc_table))
-        monkeypatch.setattr(asymptotics, "check_assumption",
-                            counted("check", asymptotics.check_assumption))
+        monkeypatch.setattr(asymptotics, "_failing_cells",
+                            counted("cells", asymptotics._failing_cells))
         monkeypatch.setattr(asymptotics, "classify_arcs",
                             counted("classify", asymptotics.classify_arcs))
         spec = ProductSpec(TG.m, TG.r, TG.delta)      # no table built yet
         asymptotics.g_asymptotic(spec, 400)
         asymptotics.g_asymptotic(spec, 401)
-        assert calls == {"table": 1, "check": 2, "classify": 0}
+        assert calls == {"table": 1, "cells": 2, "classify": 0}
         asymptotics.check_assumption(spec)
         asymptotics.classify_arcs(spec)
         analysis.leading_profile(spec)

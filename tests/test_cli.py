@@ -7,6 +7,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -466,6 +468,65 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["expand", "5:1:-1"])          # missing --order
         assert exc.value.code == 1
+
+
+class TestOutputPath:
+    """`main` opens --out only once the handler has computed, and writes
+    there exactly the bytes that stdout gets without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "5:1:-1", "--order", "30", "--format", "csv"),
+        ("expand", "5:1:-1", "--order", "30", "--format", "json"),
+        ("arcs", "2:1:-2", "4:1:-1", "8:5:-3", "--format", "text"),
+        ("arcs", "2:1:-2", "4:1:-1", "8:5:-3", "--format", "json"),
+        ("asym", "5:1:-1", "--n", "100"),
+        ("compare", "5:1:1", "5:2:-1", "--n-list", "200,400", "--format", "csv"),
+        ("compare", "5:1:1", "5:2:-1", "--n-list", "200,400", "--format", "json"),
+        ("analyze", "5:1:1", "5:2:-1"),
+        ("signs", "5:1:-1", "--mod", "5", "--range", "0..40"),
+        ("transform-test", "5:1:-1", "--samples", "2"),
+    ], ids=" ".join)
+    def test_file_holds_stdout_bytes(self, capsys, tmp_path, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and stdout
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("asym", "5:1:-1", "--n", "0"), 2),
+        (("compare", "5:1:-1", "--n-list", "100", "--K", "0"), 1),
+        (("expand", "5:1:-1", "--order", "-1"), 1),
+        (("signs", "5:1:-1", "--mod", "0", "--range", "0..9"), 1),
+    ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
+    def test_failed_query_writes_no_file(self, capsys, tmp_path, argv, expected):
+        target = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (expected, "")
+        assert err.startswith("qprodasym: ") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        # a real allocation of that size may succeed under overcommit
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("qprodasym.cli.expand_spec", exhausted)
+        assert run(capsys, "expand", "5:1:-1", "--order", "10") == (
+            1, "", "qprodasym: error: not enough memory for this query\n")
+
+    def test_closed_stdout_exits_one_silently(self):
+        # about 1 MB of CSV, far more than a pipe buffer holds
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qprodasym.cli", "expand", "5:1:-1", "--order", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+        assert proc.stdout.readline() == b"n,g\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 class TestDeterminism:
