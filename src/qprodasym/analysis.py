@@ -12,9 +12,9 @@ import math
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .asymptotics import (HypothesisError, _level_sums, _level_terms,
-                          _major_classes, _require_assumption, _unit,
-                          g_asymptotic)
+from .asymptotics import (HypothesisError, _class_sums, _level_terms,
+                          _main_sums, _major_classes, _require_assumption,
+                          _unit)
 from .qseries import ProductSpec, _Record, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -98,7 +98,6 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     _require_assumption(spec)
     levels = tuple(dominant_levels(spec, depth))
     front = _unit(sum(spec.delta), 2)
-    L = spec.L
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and
         # Pi values are shared by all residues n0
@@ -112,8 +111,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
         scale = 0.0
         amps = []
         for n0 in range(P):
-            sums = {(k, ell): _level_sums(terms, 6 * L * n0, 3 * L * k, ell)
-                    for (k, ell), terms in arcs.items()}
+            sums = {lv: _class_sums(spec, n0, lv, terms) for lv, terms in arcs.items()}
             total = 0j
             for kappa, ell, k in contributing:
                 total += sums[k, ell][kappa]
@@ -143,22 +141,17 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None
             ) -> list[CompareRow]:
     """Exact g(n) vs the truncated approximation, compared in log space.
 
-    Every n and K are checked before the series is expanded to max(n).
+    The approximations at every n come from one main-sum pass, which
+    checks every n and K, before the series is expanded to max(n).
     G is a power series, so g(n) = 0 for n < 0.
     """
     if not n_values:
         return []
-    for n in n_values:
-        if Fraction(n) <= -spec.omega / 24:
-            raise HypothesisError(f"n = {n} violates n > -Omega/24")
-    if K is not None and K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    _require_assumption(spec)
+    approxes = _main_sums(spec, n_values, K)
     series = expand_spec(spec, max(0, *n_values))
     rows = []
-    for n in n_values:
+    for n, approx in zip(n_values, approxes):
         exact = series[n] if n >= 0 else 0
-        approx = g_asymptotic(spec, n, K)
         log_exact = math.log(abs(exact)) if exact else None
         if exact:
             sign = approx.real_sign * (1 if exact > 0 else -1)
@@ -177,11 +170,14 @@ class ResidueScan(_Record):
 
 def sign_check(spec: ProductSpec, modulus: int, n_from: int, n_to: int
                ) -> list[ResidueScan]:
-    """Scan exact coefficients over [n_from, n_to] by residue class."""
+    """Scan exact coefficients over [n_from, n_to] by residue class; the
+    range must hold an n of every residue."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
+    if n_to - n_from + 1 < modulus:
+        raise ValueError("need n_to - n_from + 1 >= modulus, so that every residue has an n")
     series = expand_spec(spec, n_to)
     out = []
     for rho in range(modulus):

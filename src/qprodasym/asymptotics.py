@@ -7,9 +7,10 @@ assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
 
 The main sum makes one kernel pass per Farey level k over its admissible
-h.  Delta and the hypothesis bound come from the divisor-cell table the
-spec builds once, as `spec.arcs`; nothing else is cached across calls,
-so memory does not grow with n or with the number of calls.
+h, shared by every n of a query.  Delta and the hypothesis bound come
+from the divisor-cell table the spec builds once, as `spec.arcs`;
+nothing else is cached across calls, so memory does not grow with n or
+with the number of calls.
 """
 
 from __future__ import annotations
@@ -498,9 +499,16 @@ def _level_sums(terms, step: int, D: int, ell: int) -> dict:
     return sums
 
 
+def _class_sums(spec: ProductSpec, n: int, level: tuple[int, int], terms) -> dict:
+    """The h-sums at n of the classes of `level` = (k, ell), from its
+    :func:`_level_terms` `terms`: the per-n stage of the main sum."""
+    k, ell = level
+    return _level_sums(terms, 6 * spec.L * n, 3 * spec.L * k, ell)
+
+
 def _require_range(spec: ProductSpec, n: int) -> None:
     if Fraction(n) <= -spec.omega / 24:
-        raise HypothesisError(f"need n > -Omega/24 = {-spec.omega / 24}")
+        raise HypothesisError(f"n = {n} violates n > -Omega/24 = {-spec.omega / 24}")
 
 
 def _require_assumption(spec: ProductSpec) -> None:
@@ -520,48 +528,106 @@ def _require_assumption(spec: ProductSpec) -> None:
                               f"{count} classes{first}: {shown}")
 
 
+# the n whose terms are held at once (about 43 KB each for TG at K = 158)
+_BLOCK = 256
+
+
+def _main_sums(spec: ProductSpec, ns, K: int | None = None,
+               members: list[tuple[int, int, int]] | None = None) -> list[LogComplex]:
+    """The truncated main-term sum at each n of `ns`, in order.
+
+    Without `members`, the sum at n runs over every major-arc class and
+    every level k <= K(n) congruent to the class level mod L, with K(n)
+    = K >= 1 or :func:`default_K`; with them, over those (kappa, ell, k)
+    at every n.  Every n, the hypothesis inequality and then each member
+    are checked before anything is summed.  Classes with
+    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.  If some
+    K(n) stops below the first level with a member, the sum is empty and
+    ValueError names that level.
+
+    Levels are the outer loop and n the inner one: per block of
+    `_BLOCK` n, one :func:`_level_terms` pass runs each level's kernel
+    once, then :func:`_class_sums` and the factor pref * I_{-1}(x), which
+    depends on Delta and k only, run once per (Delta, k) for each n whose
+    K(n) reaches k.  Terms are float (log-magnitude, argument) pairs, and
+    only one block's terms are held, so memory does not grow with `ns`.
+    """
+    if K is not None and K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    for n in ns:
+        _require_range(spec, n)
+    _require_assumption(spec)
+    L = spec.L
+    if members is None:
+        Ks = [K or default_K(spec, n) for n in ns]
+        positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
+
+        def level(k):
+            """(ell, the kappas of the members at level k)."""
+            ell = (k - 1) % L + 1
+            kappas = positive.get(ell)
+            if kappas is None:
+                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
+            g = math.gcd(ell, k)
+            return ell, [kappa for kappa in kappas if math.gcd(kappa, g) == 1]
+
+        # a class with a member at k = ell + jL has one at k = ell + L,
+        # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
+        first = next((k for k in range(1, 2 * L + 1) if level(k)[1]), None)
+        if first is None:
+            raise HypothesisError("no major-arc class has an admissible h at any level k")
+        short = next((Kn for Kn in Ks if Kn < first), None)
+        if short is not None:
+            raise ValueError(f"the main sum is empty for K = {short}: "
+                             f"its first term is at level k = {first}")
+        members = [(kappa, ell, k) for k in range(first, max(Ks, default=0) + 1)
+                   for ell, kappas in [level(k)] for kappa in kappas]
+    else:
+        Ks = [math.inf] * len(ns)
+    levels: dict[tuple[int, int], list[tuple[int, int]]] = {}   # -> [(kappa, L Delta)]
+    for kappa, ell, k in members:
+        D = math.gcd(ell, L)
+        dn = spec.arcs[D][kappa % D][0]
+        if dn <= 0:
+            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
+        levels.setdefault((k, ell), []).append((kappa, dn))
+    front = LogComplex.from_complex(_unit(sum(spec.delta), 2))
+    out = []
+    for b in range(0, len(ns), _BLOCK):
+        block = [(n, Kn, float(24 * n + spec.omega), [])
+                 for n, Kn in zip(ns[b:b + _BLOCK], Ks[b:b + _BLOCK])]
+        top = max(Kn for _, Kn, _, _ in block)
+        for (k, ell), arcs in _level_terms(spec, [m for m in members if m[2] <= top]):
+            for n, Kn, w, terms in block:
+                if k > Kn:
+                    continue
+                sums = _class_sums(spec, n, (k, ell), arcs)
+                bessels: dict[int, tuple[float, float]] = {}
+                for kappa, dn in levels[k, ell]:
+                    hs = sums.get(kappa, 0)
+                    if hs == 0:
+                        continue
+                    factor = bessels.get(dn)
+                    if factor is None:
+                        dv = dn / L
+                        x = math.pi * math.sqrt(dv * w) / (6 * k)
+                        bessel = bessel_I_minus1(x)
+                        factor = bessels[dn] = _times(
+                            (math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0),
+                            (bessel.log_mag, bessel.arg))
+                    terms.append(_times(factor, _polar(hs)))
+        out += [front * logc_sum(terms) for *_, terms in block]
+    return out
+
+
 def g_asymptotic_members(spec: ProductSpec, n: int,
                          members: Iterable[tuple[int, int, int]]) -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples.
 
-    `members` is iterated once, after both hypotheses are checked, and
-    grouped by level (k, ell): one :func:`_level_terms` pass per level
-    gives the h-sums of all its members.  Each class's Delta is read from
-    its divisor cell of `spec.arcs`; the factor pref * I_{-1}(x), which
-    depends on Delta and k only, is evaluated once per (Delta, k).  Terms
-    are float (log-magnitude, argument) pairs.
+    `members` is iterated once; each must be a major-arc class, checked
+    after both hypotheses.  See :func:`_main_sums`.
     """
-    _require_range(spec, n)
-    _require_assumption(spec)
-    L = spec.L
-    members = list(members)
-    for kappa, ell, _ in members:
-        D = math.gcd(ell, L)
-        if spec.arcs[D][kappa % D][0] <= 0:
-            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
-    step = 6 * L * n
-    sums = {(k, ell): _level_sums(terms, step, 3 * L * k, ell)
-            for (k, ell), terms in _level_terms(spec, members)}
-    bessels: dict[tuple[int, int], tuple[float, float]] = {}
-    terms = []
-    w = float(24 * n + spec.omega)
-    for kappa, ell, k in members:
-        hs = sums[k, ell].get(kappa, 0)
-        if hs == 0:
-            continue
-        D = math.gcd(ell, L)
-        dn = spec.arcs[D][kappa % D][0]
-        factor = bessels.get((dn, k))
-        if factor is None:
-            dv = dn / L
-            x = math.pi * math.sqrt(dv * w) / (6 * k)
-            bessel = bessel_I_minus1(x)
-            factor = bessels[dn, k] = _times(
-                (math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0),
-                (bessel.log_mag, bessel.arg))
-        terms.append(_times(factor, _polar(hs)))
-    front = _unit(sum(spec.delta), 2)
-    return LogComplex.from_complex(front) * logc_sum(terms)
+    return _main_sums(spec, [n], members=list(members))[0]
 
 
 def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
@@ -570,44 +636,10 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     Sums over every major-arc class and every k <= K congruent to the
     class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
     result is a LogComplex whose imaginary part is pure numerical noise.
-    :func:`g_asymptotic_members` checks the hypothesis inequality on
-    `spec.arcs` before the members of each level k, the classes in its
-    positive cells, are generated from it.  Classes with
-    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.  If no
-    level k <= K has a member, the sum is empty and ValueError names the
-    first k that has one.
+    The hypothesis inequality is checked on `spec.arcs` before the
+    members of each level k, the classes in its positive cells, are
+    generated from it.  Classes with gcd(kappa, ell, k) > 1 have no
+    admissible h and are skipped.  If no level k <= K has a member, the
+    sum is empty and ValueError names the first k that has one.
     """
-    if K is not None and K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    _require_range(spec, n)
-    if K is None:
-        K = default_K(spec, n)
-    L = spec.L
-    positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
-
-    def level(k):
-        """(ell, the kappas of the members at level k)."""
-        ell = (k - 1) % L + 1
-        kappas = positive.get(ell)
-        if kappas is None:
-            kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
-        g = math.gcd(ell, k)
-        return ell, [kappa for kappa in kappas if math.gcd(kappa, g) == 1]
-
-    def members():
-        empty = True
-        for k in range(1, K + 1):
-            ell, kappas = level(k)
-            for kappa in kappas:
-                yield kappa, ell, k
-            empty = empty and not kappas
-        if empty:
-            # a class with a member at k = ell + jL has one at k = ell + L,
-            # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
-            first = next((k for k in range(K + 1, 2 * L + 1) if level(k)[1]), None)
-            if first is None:
-                raise HypothesisError("no major-arc class has an admissible h at any level k")
-            raise ValueError(f"the main sum is empty for K = {K}: "
-                             f"its first term is at level k = {first}")
-
-    return g_asymptotic_members(spec, n, members())
+    return _main_sums(spec, [n], K)[0]

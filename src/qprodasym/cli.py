@@ -60,13 +60,6 @@ def parse_spec(tokens: list[str]) -> ProductSpec:
     return ProductSpec(*zip(*terms))
 
 
-def _out_stream(path: str | None):
-    try:
-        return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 def _text(text: str):
     return lambda out: out.write(text)
 
@@ -202,8 +195,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names one."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -216,8 +209,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="qprodasym", description=__doc__.rsplit("\n\n", 1)[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        fn, help_, options = COMMANDS[name]
+    for name, (fn, help_, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("spec", nargs="+", help="m:r:delta triples")
         for flag, kwargs in {**_OUT, **options}.items():
@@ -267,17 +259,23 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_plain(argv)
-    if args is None:
-        # unrecognized arguments get the usage of the full parser
-        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-        if extra:
-            build_parser().parse_args(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         write = args.fn(parse_spec(args.spec), args)
-        with _out_stream(args.out) as out:
-            write(out)
-            out.flush()
+        try:
+            with (nullcontext(sys.stdout) if args.out is None
+                  else open(args.out, "w", encoding="utf-8")) as out:
+                write(out)
+                out.flush()
+        except OSError as exc:
+            # a partial --out file stays, as it may be a device; on stdout,
+            # devnull takes the flush at interpreter exit
+            if args.out is None:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return USAGE_ERROR                  # the reader closed stdout
+            target = "stdout" if args.out is None else args.out
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
         return 0
     except asymptotics.HypothesisError as exc:
         code, message = HYPOTHESIS_ERROR, f"hypothesis failure: {exc}"
@@ -285,10 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         code, message = USAGE_ERROR, f"error: {exc}"
     except MemoryError:
         code, message = USAGE_ERROR, "error: not enough memory for this query"
-    except BrokenPipeError:
-        # the reader closed stdout: devnull takes the flush at interpreter exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return USAGE_ERROR
     print(f"qprodasym: {message}", file=sys.stderr)
     return code
 

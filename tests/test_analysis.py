@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qprodasym import (HypothesisError, NoMajorArcsError, ProductSpec,
-                       analysis, classify_arcs, compare, dominant_levels,
+                       analysis, asymptotics, classify_arcs, compare, dominant_levels,
                        expand_spec, leading_profile, sign_check)
 from qprodasym.analysis import compare_to_csv, compare_to_json
 
@@ -153,6 +153,27 @@ class TestCompare:
         with pytest.raises(ValueError, match=f"K must be at least 1, got {K}"):
             compare(P5, [40000], K)
 
+    def test_empty_sum_checked_before_expansion(self, monkeypatch):
+        # RR has no major class at k = 1
+        def expand(spec, N):
+            pytest.fail(f"expanded to N = {N} before summing")
+        monkeypatch.setattr(analysis, "expand_spec", expand)
+        with pytest.raises(ValueError, match="K = 1: its first term is at level k = 5$"):
+            compare(RR, [200, 500], 1)
+
+    def test_one_kernel_pass_for_every_n(self, monkeypatch):
+        # the level terms do not depend on n: one pass serves all 100 n
+        calls = []
+        level_terms = asymptotics._level_terms
+
+        def counted(spec, members):
+            calls.append(spec)
+            return level_terms(spec, members)
+
+        monkeypatch.setattr(asymptotics, "_level_terms", counted)
+        rows = compare(TG, range(4000, 4100))
+        assert [r.n for r in rows] == list(range(4000, 4100)) and len(calls) == 1
+
     def test_csv_and_json_output(self):
         rows = compare(P5, [100, 200])
         buf = io.StringIO()
@@ -192,3 +213,9 @@ class TestSignCheck:
             sign_check(P5, 0, 0, 10)
         with pytest.raises(ValueError):
             sign_check(P5, 5, 10, 5)
+
+    def test_every_residue_needs_an_n(self):
+        # 0..2 holds no n = 3, 4, 5 (mod 6): no verdict is claimed for them
+        with pytest.raises(ValueError, match="every residue has an n"):
+            sign_check(P5, 6, 0, 2)
+        assert [s.residue for s in sign_check(P5, 3, 0, 2)] == [0, 1, 2]

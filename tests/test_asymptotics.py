@@ -3,6 +3,7 @@ truncated main-term sum against exact coefficients.
 """
 
 import cmath
+import gc
 import math
 import random
 import tracemalloc
@@ -616,6 +617,65 @@ class TestFloatMainSum:
         assert listed and all(math.gcd(*m) == 1 for m in listed)
         factors = {(delta_arc(spec, kappa, ell), k) for kappa, ell, k in listed}
         assert len(made) <= len(factors) + 4
+
+
+class TestMainSumsOverN:
+    """`_main_sums` at a list of n, the one entry of the main sum: each n
+    gets the value of g_asymptotic at that n alone, bit for bit, and only
+    one block of n holds its terms at a time."""
+
+    @staticmethod
+    def _check(spec, ns, K):
+        try:
+            want = [g_asymptotic(spec, n, K) for n in ns]
+        except ValueError as exc:
+            # an empty sum at some n fails the list with the same message
+            with pytest.raises(type(exc)) as got:
+                asymptotics._main_sums(spec, ns, K)
+            assert str(got.value) == str(exc)
+            return 0
+        got = asymptotics._main_sums(spec, ns, K)
+        assert [(v.log_mag, v.arg) for v in got] == [(v.log_mag, v.arg) for v in want]
+        return len(ns)
+
+    @pytest.mark.parametrize("text", list(ONESHOT_ASYM))
+    def test_oneshot_pools(self, text):
+        spec = parse_spec(text.split())
+        # the default K differs between the pool and the small n
+        ns = _oneshot_pool(ONESHOT_ASYM[text])[::-1] + [60, 30]
+        assert self._check(spec, ns, None) == len(ns)
+        assert self._check(spec, ns, 17) == len(ns)
+
+    def test_random_specs(self):
+        rng = random.Random(29)
+        checked = compared = 0
+        while checked < 20:
+            spec = random_spec(rng, max_j=3, max_m=12)
+            if not check_assumption(spec)[0]:
+                continue
+            ns = [n for n in (rng.randint(-5, 2000) for _ in range(4))
+                  if Fraction(n) > -spec.omega / 24]
+            compared += self._check(spec, ns, None) + self._check(spec, ns, rng.randint(1, 40))
+            checked += 1
+        assert compared >= 80
+
+    def test_memory_stops_growing_past_one_block(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_BLOCK", 8)
+
+        def peak(ns):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                asymptotics._main_sums(P5, ns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(range(500, 502))              # lazy module state, outside the trace
+        one, four = peak(range(500, 508)), peak(range(500, 532))
+        # here each n holds about 13 KB of terms while its block is summed,
+        # and keeps a value of about 0.1 KB
+        assert four - one < 24 * 2000
 
 
 class TestLogComplex:

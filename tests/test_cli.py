@@ -3,6 +3,7 @@ and deterministic, machine-readable output.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -528,6 +529,33 @@ class TestOutputPath:
         proc.stderr.close()
         assert (proc.wait(timeout=120), err) == (1, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv,target", [
+        (("expand", "5:1:-1", "--order", "10", "--out", "/dev/full"), "/dev/full"),
+        (("asym", "5:1:-1", "--n", "100"), "stdout"),
+    ], ids=["--out", "stdout"])
+    def test_full_device_is_one_line(self, argv, target):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qprodasym.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, f"qprodasym: error: cannot write {target}: No space left on device\n")
+
+    def test_failed_write_is_one_line(self, capsys, monkeypatch, tmp_path):
+        # the partial file stays: --out may name a device
+        def full(out):
+            out.write("partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setitem(COMMANDS, "asym", (lambda spec, args: full, *COMMANDS["asym"][1:]))
+        target = tmp_path / "out"
+        assert run(capsys, "asym", "5:1:-1", "--n", "100", "--out", str(target)) == (
+            1, "", f"qprodasym: error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
+        assert target.read_text() == "partial"
+
 
 class TestDeterminism:
     def test_identical_output_across_runs(self, capsys):
@@ -557,9 +585,9 @@ class TestParser:
         assert (code, captured.out, captured.err) == (
             case["code"], case["stdout"], case["stderr"])
 
-    def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch):
-        """A plain query builds no parser, a bad value builds the invoked
-        subcommand's, and unrecognized arguments then build every one."""
+    def test_builds_every_subparser_once_off_the_plain_path(self, capsys, monkeypatch):
+        """A plain query builds no parser; any other argv builds every
+        subcommand's parser once."""
         calls = []
         real = argparse._SubParsersAction.add_parser
 
@@ -572,11 +600,11 @@ class TestParser:
         assert calls == []
         with pytest.raises(SystemExit):
             main(["asym", "5:1:-1", "--n", "x"])
-        assert calls == ["asym"]
+        assert calls == [*COMMANDS]
         calls.clear()
         with pytest.raises(SystemExit):
             main(["asym", "5:1:-1", "--n", "100", "--bogus"])
-        assert calls == ["asym", *COMMANDS]
+        assert calls == [*COMMANDS]
 
 
 with open(os.path.join(os.path.dirname(__file__), "cli_outputs.json"),
@@ -630,7 +658,7 @@ class TestPlainParser:
         return corpus
 
     def test_accepts_only_what_argparse_parses_alike(self, capsys):
-        parsers = {name: build_parser(name) for name in COMMANDS}
+        parser = build_parser()
         accepted = 0
         for argv in self._corpus():
             plain = _parse_plain(argv)
@@ -641,7 +669,7 @@ class TestPlainParser:
             dashed = [tok for tok in argv if tok.startswith("-")]
             assert len(dashed) == len(set(dashed)), argv
             try:
-                args, extra = parsers[argv[0]].parse_known_args(argv)
+                args, extra = parser.parse_known_args(argv)
             except SystemExit:
                 pytest.fail(f"argparse rejects {argv}: {capsys.readouterr().err}")
             assert (vars(plain), extra) == (vars(args), []), argv
