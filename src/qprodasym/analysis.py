@@ -5,12 +5,12 @@ cross-compare exact coefficients against the truncated approximation.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 import math
 from fractions import Fraction
-from typing import IO, Sequence
+from itertools import count, groupby, islice
+from operator import itemgetter
+from typing import Sequence
 
 from .asymptotics import (HypothesisError, _class_sums, _level_terms,
                           _main_sums, _major_classes, _require_assumption,
@@ -45,27 +45,26 @@ def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
     if depth < 1:
         raise ValueError("depth must be positive")
     L = spec.L
-    # k-way merge over the per-class sequences k = ell, ell + L, ...; each
-    # sequence is strictly decreasing in sqrt(Delta)/k, so a heap pop order
-    # enumerates values globally in decreasing order.
-    heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell) for ell in range(1, L + 1)
-            for kappa, dn in _major_classes(spec, ell)]
-    if not heap:
+
+    def walk(ell, dn, kappas):
+        """(-Delta/k^2, ell, k, kappas) over k = ell, ell + L, ...: strictly
+        increasing.  The classes of one ell and one Delta share a walk."""
+        for k in count(ell, L):
+            yield Fraction(-dn, L * k * k), ell, k, kappas
+
+    walks = []
+    for ell in range(1, L + 1):
+        kappas: dict[int, list[int]] = {}
+        for kappa, dn in _major_classes(spec, ell):
+            kappas.setdefault(dn, []).append(kappa)
+        walks += [walk(ell, dn, ks) for dn, ks in kappas.items()]
+    if not walks:
         raise NoMajorArcsError("no major arcs: every class has Delta <= 0")
-    heapq.heapify(heap)
-    buckets: dict[Fraction, list[tuple[int, int, int]]] = {}
-    while heap:
-        neg, kappa, ell, k = heapq.heappop(heap)
-        ratio = -neg
-        if len(buckets) >= depth and ratio not in buckets:
-            break
-        buckets.setdefault(ratio, []).append((kappa, ell, k))
-        dv = ratio * k * k
-        k += L
-        heapq.heappush(heap, (-dv / (k * k), kappa, ell, k))
-    levels = [DominantLevel(ratio, tuple(sorted(buckets[ratio])))
-              for ratio in sorted(buckets, reverse=True)]
-    return levels[:depth]
+    # merged, the walks enumerate every member by decreasing Delta/k^2
+    groups = islice(groupby(heapq.merge(*walks), key=itemgetter(0)), depth)
+    return [DominantLevel(-neg, tuple(sorted((kappa, ell, k) for _, ell, k, ks in group
+                                             for kappa in ks)))
+            for neg, group in groups]
 
 
 class ResidueVerdict(_Record):
@@ -162,6 +161,9 @@ def compare(spec: ProductSpec, n_values: Sequence[int], K: int | None = None
     return rows
 
 
+_SIGN_NAMES = ((1, "positive"), (-1, "negative"), (0, "zero"))
+
+
 class ResidueScan(_Record):
     residue: int
     verdict: str            # all-positive / all-negative / all-zero / mixed
@@ -171,7 +173,8 @@ class ResidueScan(_Record):
 def sign_check(spec: ProductSpec, modulus: int, n_from: int, n_to: int
                ) -> list[ResidueScan]:
     """Scan exact coefficients over [n_from, n_to] by residue class; the
-    range must hold an n of every residue."""
+    range must hold an n of every residue.  Each residue walks only its own
+    progression, so every n of the range is read once."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if not 0 <= n_from <= n_to:
@@ -181,47 +184,13 @@ def sign_check(spec: ProductSpec, modulus: int, n_from: int, n_to: int
     series = expand_spec(spec, n_to)
     out = []
     for rho in range(modulus):
-        ns = [n for n in range(n_from, n_to + 1) if n % modulus == rho]
-        values = [series[n] for n in ns]
-        if all(v > 0 for v in values):
-            verdict, first = "all-positive", None
-        elif all(v < 0 for v in values):
-            verdict, first = "all-negative", None
-        elif all(v == 0 for v in values):
-            verdict, first = "all-zero", None
+        ns = range(n_from + (rho - n_from) % modulus, n_to + 1, modulus)
+        signs = [(v > 0) - (v < 0) for v in map(series.__getitem__, ns)]
+        # the majority sign: the largest count, then the largest name
+        size, name, sign = max((signs.count(s), name, s) for s, name in _SIGN_NAMES)
+        if size == len(ns):
+            out.append(ResidueScan(rho, f"all-{name}", None))
         else:
-            # mixed: report the first n breaking the majority sign
-            pos = sum(v > 0 for v in values)
-            neg = sum(v < 0 for v in values)
-            zero = sum(v == 0 for v in values)
-            majority = max((pos, "positive"), (neg, "negative"), (zero, "zero"))[1]
-            breaks = {"positive": lambda v: v <= 0,
-                      "negative": lambda v: v >= 0,
-                      "zero": lambda v: v != 0}[majority]
-            first = next(n for n, v in zip(ns, values) if breaks(v))
-            verdict = "mixed"
-        out.append(ResidueScan(rho, verdict, first))
+            first = next(n for n, s in zip(ns, signs) if s != sign)
+            out.append(ResidueScan(rho, "mixed", first))
     return out
-
-
-def compare_to_csv(rows: list[CompareRow], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "exact", "log_abs_exact", "log_abs_asym", "rel_error"])
-    for row in rows:
-        writer.writerow([row.n, str(row.exact),
-                         _fmt(row.log_abs_exact), _fmt(row.log_abs_asym),
-                         _fmt(row.rel_error)])
-
-
-def compare_to_json(rows: list[CompareRow]) -> str:
-    docs = [{"n": r.n, "exact": str(r.exact),
-             "log_abs_exact": _fmt(r.log_abs_exact),
-             "log_abs_asym": _fmt(r.log_abs_asym),
-             "rel_error": _fmt(r.rel_error)} for r in rows]
-    return json.dumps(docs, separators=(",", ":"), sort_keys=True)
-
-
-def _fmt(x: float | None) -> str | None:
-    if x is None:
-        return None
-    return f"{x:.15g}"

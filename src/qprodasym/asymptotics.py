@@ -154,8 +154,10 @@ def _violations(spec: ProductSpec,
     L = spec.L
     for ell in range(1, L + 1):
         D = math.gcd(ell, L)
-        # the classes kappa < ell in the cells c + D Z
-        yield from ((j + c, ell) for j in range(0, ell, D) for c in failing.get(D, ()))
+        cells = failing.get(D)
+        if cells:
+            # the classes kappa < ell in the cells c + D Z
+            yield from ((j + c, ell) for j in range(0, ell, D) for c in cells)
 
 
 def check_assumption(spec: ProductSpec) -> tuple[bool, list[tuple[int, int]]]:
@@ -586,6 +588,9 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         Ks = [math.inf] * len(ns)
     levels: dict[tuple[int, int], list[tuple[int, int]]] = {}   # -> [(kappa, L Delta)]
     for kappa, ell, k in members:
+        if not (0 <= kappa < ell <= L and k >= 1 and (k - ell) % L == 0):
+            raise ValueError(f"member {(kappa, ell, k)} needs 0 <= kappa < ell <= "
+                             f"L = {L}, k >= 1 and k = ell (mod L)")
         D = math.gcd(ell, L)
         dn = spec.arcs[D][kappa % D][0]
         if dn <= 0:
@@ -624,8 +629,10 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
                          members: Iterable[tuple[int, int, int]]) -> LogComplex:
     """The main-term sum restricted to explicit (kappa, ell, k) triples.
 
-    `members` is iterated once; each must be a major-arc class, checked
-    after both hypotheses.  See :func:`_main_sums`.
+    `members` is iterated once.  Each (kappa, ell, k) must have
+    0 <= kappa < ell <= L, k >= 1 and k = ell (mod L), and (kappa, ell)
+    must be a major-arc class; both are checked after both hypotheses.
+    See :func:`_main_sums`.
     """
     return _main_sums(spec, [n], members=list(members))[0]
 

@@ -16,6 +16,7 @@ writer `out -> None`; `main` opens `--out` after it, writes and maps errors.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 from . import analysis, asymptotics, transform
-from .analysis import _fmt
 from .qseries import (ProductSpec, expand_spec, series_to_csv, series_to_json)
 
 USAGE_ERROR = 1
@@ -62,6 +62,10 @@ def parse_spec(tokens: list[str]) -> ProductSpec:
 
 def _text(text: str):
     return lambda out: out.write(text)
+
+
+def _fmt(x: float | None) -> str | None:
+    return None if x is None else f"{x:.15g}"
 
 
 def _json(doc):
@@ -113,6 +117,9 @@ def cmd_asym(spec: ProductSpec, args):
     })
 
 
+_COMPARE_FIELDS = ("n", "exact", "log_abs_exact", "log_abs_asym", "rel_error")
+
+
 def cmd_compare(spec: ProductSpec, args):
     n_values = []
     for item in filter(None, args.n_list.split(",")):
@@ -122,10 +129,12 @@ def cmd_compare(spec: ProductSpec, args):
             raise ValueError(f"--n-list item {item!r} is not an integer") from None
     if not n_values:
         raise ValueError(f"--n-list names no n: {args.n_list!r}")
-    rows = analysis.compare(spec, n_values, args.K)
+    table = [(r.n, str(r.exact), _fmt(r.log_abs_exact), _fmt(r.log_abs_asym),
+              _fmt(r.rel_error)) for r in analysis.compare(spec, n_values, args.K)]
     if args.format == "json":
-        return _text(analysis.compare_to_json(rows) + "\n")
-    return lambda out: analysis.compare_to_csv(rows, out)
+        return _json([dict(zip(_COMPARE_FIELDS, row)) for row in table])
+    return lambda out: csv.writer(out, lineterminator="\n").writerows(
+        [_COMPARE_FIELDS, *table])
 
 
 def cmd_analyze(spec: ProductSpec, args):

@@ -2,22 +2,74 @@
 vanishing detection, and the exact-vs-asymptotic comparison table.
 """
 
-import io
+import heapq
 import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from qprodasym import (HypothesisError, NoMajorArcsError, ProductSpec,
+from qprodasym import (CoeffSeries, HypothesisError, NoMajorArcsError, ProductSpec,
                        analysis, asymptotics, classify_arcs, compare, dominant_levels,
                        expand_spec, leading_profile, sign_check)
-from qprodasym.analysis import compare_to_csv, compare_to_json
+from qprodasym.analysis import DominantLevel, ResidueScan
+from qprodasym.asymptotics import _major_classes
+from qprodasym.cli import main
 
-from conftest import P5, RR, TG, h_sum
+from conftest import P5, RR, TG, h_sum, random_spec
 
 # G = (q, q; q^2)_inf / (q, q; q^2)_inf = 1: every Delta cancels exactly
 IDENTITY = ProductSpec((2, 2), (1, 1), (1, -1))
+
+
+def heap_dominant_levels(spec, depth):
+    """The hand-written k-way heap merge of the levels, kept as the oracle."""
+    L = spec.L
+    heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell) for ell in range(1, L + 1)
+            for kappa, dn in _major_classes(spec, ell)]
+    heapq.heapify(heap)
+    buckets = {}
+    while heap:
+        neg, kappa, ell, k = heapq.heappop(heap)
+        ratio = -neg
+        if len(buckets) >= depth and ratio not in buckets:
+            break
+        buckets.setdefault(ratio, []).append((kappa, ell, k))
+        dv = ratio * k * k
+        k += L
+        heapq.heappush(heap, (-dv / (k * k), kappa, ell, k))
+    levels = [DominantLevel(ratio, tuple(sorted(buckets[ratio])))
+              for ratio in sorted(buckets, reverse=True)]
+    return levels[:depth]
+
+
+def filter_sign_check(spec, modulus, n_from, n_to):
+    """The scan that filters the whole range once per residue, kept as the oracle."""
+    series = expand_spec(spec, n_to)
+    out = []
+    for rho in range(modulus):
+        ns = [n for n in range(n_from, n_to + 1) if n % modulus == rho]
+        values = [series[n] for n in ns]
+        if all(v > 0 for v in values):
+            verdict, first = "all-positive", None
+        elif all(v < 0 for v in values):
+            verdict, first = "all-negative", None
+        elif all(v == 0 for v in values):
+            verdict, first = "all-zero", None
+        else:
+            pos = sum(v > 0 for v in values)
+            neg = sum(v < 0 for v in values)
+            zero = sum(v == 0 for v in values)
+            majority = max((pos, "positive"), (neg, "negative"), (zero, "zero"))[1]
+            breaks = {"positive": lambda v: v <= 0,
+                      "negative": lambda v: v >= 0,
+                      "zero": lambda v: v != 0}[majority]
+            first = next(n for n, v in zip(ns, values) if breaks(v))
+            verdict = "mixed"
+        out.append(ResidueScan(rho, verdict, first))
+    return out
 
 
 class TestDominantLevels:
@@ -63,6 +115,18 @@ class TestDominantLevels:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             dominant_levels(P5, 0)
+
+    def test_matches_heap_merge(self):
+        rng = random.Random(2101)
+        specs = [P5, RR, TG, ProductSpec((60,), (5,), (-1,))]
+        while len(specs) < 24:
+            spec = random_spec(rng, max_j=3, max_m=12)
+            if spec.L <= 120 and any(_major_classes(spec, ell)
+                                     for ell in range(1, spec.L + 1)):
+                specs.append(spec)
+        for spec in specs:
+            for depth in range(1, 9):
+                assert dominant_levels(spec, depth) == heap_dominant_levels(spec, depth)
 
 
 class TestLeadingProfile:
@@ -174,14 +238,14 @@ class TestCompare:
         rows = compare(TG, range(4000, 4100))
         assert [r.n for r in rows] == list(range(4000, 4100)) and len(calls) == 1
 
-    def test_csv_and_json_output(self):
+    def test_csv_and_json_output(self, capsys):
         rows = compare(P5, [100, 200])
-        buf = io.StringIO()
-        compare_to_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+        assert main(["compare", "5:1:-1", "--n-list", "100,200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,exact,log_abs_exact,log_abs_asym,rel_error"
         assert len(lines) == 3
-        docs = json.loads(compare_to_json(rows))
+        assert main(["compare", "5:1:-1", "--n-list", "100,200", "--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
         assert [d["n"] for d in docs] == [100, 200]
         assert int(docs[0]["exact"]) == rows[0].exact
 
@@ -219,3 +283,27 @@ class TestSignCheck:
         with pytest.raises(ValueError, match="every residue has an n"):
             sign_check(P5, 6, 0, 2)
         assert [s.residue for s in sign_check(P5, 3, 0, 2)] == [0, 1, 2]
+
+    def test_matches_filter_per_residue(self):
+        rng = random.Random(2102)
+        specs = [P5, RR, TG] + [random_spec(rng, max_j=3, max_m=12) for _ in range(20)]
+        seen = set()
+        for spec in specs:
+            modulus = rng.randint(1, 40)
+            n_from = rng.randint(0, 60)
+            if n_from % modulus == 0:
+                n_from += 1
+            n_to = n_from + modulus - 1 + rng.randint(0, 120)
+            scans = sign_check(spec, modulus, n_from, n_to)
+            assert scans == filter_sign_check(spec, modulus, n_from, n_to)
+            seen.update(s.verdict for s in scans)
+        assert seen == {"all-positive", "all-negative", "all-zero", "mixed"}
+
+    def test_each_n_read_once(self, monkeypatch):
+        # 2000 residues over 0..40000: one walk of the range, not one per residue
+        monkeypatch.setattr(analysis, "expand_spec",
+                            lambda spec, N: CoeffSeries((1,) * (N + 1)))
+        start = time.perf_counter()
+        scans = sign_check(P5, 2000, 0, 40000)
+        assert time.perf_counter() - start < 1.0
+        assert {s.verdict for s in scans} == {"all-positive"}

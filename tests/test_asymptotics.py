@@ -223,6 +223,35 @@ class TestHypothesisFailure:
             assert str(exc.value) == (f"hypothesis inequality fails at "
                                       f"{len(violations)} classes{first}: {shown}")
 
+    def test_walk_reads_only_failing_divisors(self):
+        # 997:1:-1 fails only in cells of D = 997: one lookup per level ell,
+        # not one per step of kappa through every level
+        class Counted(dict):
+            lookups = 0
+
+            def get(self, *args):
+                self.lookups += 1
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.lookups += 1
+                return super().__contains__(key)
+
+        spec = ProductSpec((997,), (1,), (-1,))
+        L = spec.L
+        failing = asymptotics._failing_cells(spec)
+        counted = Counted(failing)
+        walked = list(asymptotics._violations(spec, counted))
+        assert counted.lookups <= L
+        assert walked == [(kappa, ell) for ell in range(1, L + 1)
+                          for D in [math.gcd(ell, L)] for kappa in range(ell)
+                          if kappa % D in failing.get(D, ())]
+        assert len(walked) == 112
+
     def test_large_L_stays_small(self):
         # L = 9240: 31,931,311 failing classes, which the full list held
         # at about 3 GB
@@ -853,3 +882,14 @@ class TestGAsymptotic:
     def test_non_major_member_rejected(self):
         with pytest.raises(ValueError):
             g_asymptotic_members(RR, 100, [(0, 1, 1)])
+
+    @pytest.mark.parametrize("member", [
+        (0, 5, 7),      # level 7 belongs to ell = 2
+        (0, 1, 0), (0, 1, -4), (-1, 5, 5),
+        (7, 5, 5),      # kappa >= ell
+    ])
+    def test_member_outside_its_level_rejected(self, member):
+        with pytest.raises(ValueError, match=rf"member \({member[0]}, {member[1]}, "
+                           rf"{member[2]}\) needs 0 <= kappa < ell <= L = 5, k >= 1 "
+                           r"and k = ell \(mod L\)$"):
+            g_asymptotic_members(P5, 100, [member])

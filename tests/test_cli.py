@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -347,6 +348,15 @@ class TestHypothesisFailsFast:
         assert out == ""
         assert ("fails at 66939 classes, the first 10: " + self.FIRST) in err
         assert len(err) < 300
+
+    def test_large_prime_L_fails_fast(self, capsys):
+        # 9973:1:-1 fails only in the cells of D = L: the walk to the first
+        # ten violations skips each level below L at one lookup
+        start = time.perf_counter()
+        code, out, err = run(capsys, "asym", "9973:1:-1", "--n", "1000")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "fails at 1128 classes, the first 10: [(1, 9973), (2, 9973)" in err
 
     def test_arcs_lists_every_violation(self, capsys):
         spec = ("2:1:-2", "4:1:-1", "8:5:-3")
