@@ -7,7 +7,9 @@ assembly (integer numerators over one denominator per arc), modified
 Bessel evaluation in log space, and the truncated main-term sum itself.
 
 The main sum makes one kernel pass per Farey level k over its admissible
-h, shared by every n of a query.  Delta and the hypothesis bound come
+h, shared by every n of a query, and with the default truncation stops
+once a bound on the levels it omits is below 2^-60 of its largest term.
+Delta and the hypothesis bound come
 from the divisor-cell table the spec builds once, as `spec.arcs`;
 nothing else is cached across calls, so memory does not grow with n or
 with the number of calls.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 from ._backend import DOUBLE
@@ -93,6 +95,32 @@ def _bound_num(spec: ProductSpec, kappa: int, ell: int) -> int:
     return min(values)
 
 
+# the most divisor cells sigma(L) a spec may have: building them takes
+# about 1 s at this size (2-core host, Python 3.11)
+_MAX_CELLS = 150_000
+
+
+def _divisors(spec: ProductSpec) -> list[int]:
+    """The divisors of L, increasing, from the prime powers of the m_j."""
+    powers: dict[int, int] = {}
+    for m in spec.m:
+        p = 2
+        while p * p <= m:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                powers[p] = max(powers.get(p, 0), e)
+            p += 1
+        if m > 1:
+            powers[m] = max(powers.get(m, 0), 1)
+    divisors = [1]
+    for p, e in powers.items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)
+
+
 def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
     """L * Delta and L * the hypothesis bound on the sigma(L) divisor cells of L.
 
@@ -101,9 +129,14 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
     depends on kappa mod gcd(m_j, ell), a divisor of D.  So
     table[D][c] = (L Delta(c, D), L bound(c, D)), integers, for 0 <= c < D
     stands for every class with gcd(ell, L) = D and kappa = c (mod D).
+    ValueError if sigma(L) exceeds `_MAX_CELLS`.
     """
+    divisors = _divisors(spec)
+    if sum(divisors) > _MAX_CELLS:
+        raise ValueError(f"L = {spec.L} has sigma(L) = {sum(divisors)} divisor cells, "
+                         f"more than the limit of {_MAX_CELLS}")
     return {D: [(_delta_num(spec, c, D), _bound_num(spec, c, D)) for c in range(D)]
-            for D in range(1, spec.L + 1) if spec.L % D == 0}
+            for D in divisors}
 
 
 def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
@@ -433,10 +466,14 @@ def bessel_I_minus1(x: float) -> LogComplex:
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    x = float(x)
+    return LogComplex(_log_i1(float(x)), 0.0)
+
+
+def _log_i1(x: float) -> float:
+    """log I_1(x) for x > 0, by the branch :func:`bessel_I_minus1` names."""
     if x <= _BESSEL_SPLIT:
-        return LogComplex(_bessel_i1_series_log(x), 0.0)
-    return LogComplex(_bessel_i1_asym_log(x), 0.0)
+        return _bessel_i1_series_log(x)
+    return _bessel_i1_asym_log(x)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +483,27 @@ def bessel_I_minus1(x: float) -> LogComplex:
 def default_K(spec: ProductSpec, n: int) -> int:
     """Truncation bound max(1, floor(sqrt(2 pi (n + Omega/24)))) for the k-sum."""
     return max(1, math.floor(math.sqrt(2 * math.pi * float(n + spec.omega / 24))))
+
+
+def _paired_kernel(spec: ProductSpec, k: int, hs: list[int]) -> list:
+    """:func:`_arc_kernel` over `hs`, a set closed under h -> k - h with
+    k > 2, running the kernel on the h < k/2 and one partner only.
+
+    Pi_{k-h,k} has the factors of Pi_{h,k}, and num(k - h) = C_k - num(h)
+    (mod 6 L k) with one constant C_k per level, here read off the pair of
+    the first h.  Both follow from the real coefficients of the product:
+    the arc factor at -h/k is the complex conjugate of the one at h/k.
+    Conjugation turns each Pi factor 1 - e^{2 pi i x} into 1 - e^{-2 pi i x},
+    the factor of the arc -h/k, which is the arc (k - h)/k, and it negates
+    the phase exponent; what the shift from -h to k - h adds to it depends
+    on k only.
+    """
+    half = [h for h in hs if 2 * h < k]
+    arcs = {h: (num, pi) for h, num, pi in _arc_kernel(spec, k, half + [k - half[0]])}
+    C = arcs[half[0]][0] + arcs[k - half[0]][0]
+    for h in half:
+        arcs.setdefault(k - h, ((C - arcs[h][0]) % (6 * spec.L * k), arcs[h][1]))
+    return [(h, *arcs[h]) for h in hs]
 
 
 def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
@@ -461,6 +519,10 @@ def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
     depend on n, and it takes few values: m_j hbar h = -g (mod k) leaves
     at most g = gcd(m_j, k) exponents per factor and level.  So each
     distinct factor tuple is evaluated once by :func:`_pi_value`.
+
+    When D divides k and the cells are closed under c -> -c (mod D), the
+    h come in pairs {h, k - h}, and :func:`_paired_kernel` evaluates one
+    of each.
     """
     L = spec.L
     cells: dict[tuple[int, int], set[int]] = {}
@@ -470,8 +532,12 @@ def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
     for (k, ell), cs in cells.items():
         D = math.gcd(ell, L)
         hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
+        if hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}:
+            kernel = _paired_kernel(spec, k, hs)
+        else:
+            kernel = _arc_kernel(spec, k, hs)
         terms = []
-        for h, num, factors in _arc_kernel(spec, k, hs):
+        for h, num, factors in kernel:
             pi = pis.get(factors)
             if pi is None:
                 pi = pis[factors] = _pi_value(factors)
@@ -532,6 +598,57 @@ def _require_assumption(spec: ProductSpec) -> None:
 
 # the n whose terms are held at once (about 43 KB each for TG at K = 158)
 _BLOCK = 256
+# log 2^60: the default k-sum at n stops once a bound on its omitted terms
+# is below 2^-60 times its largest term, far under the rounding of the sum
+_BUDGET = 60 * math.log(2)
+
+
+def _pi_log_bound(spec: ProductSpec) -> float:
+    """log B, B = prod_j max(1, 2^delta_j if delta_j > 0, else (2 sin(pi/m_j))^delta_j).
+
+    Each Pi factor is 1 - e^{2 pi i t/m_j} with 0 < t < m_j (its numerator
+    over m_j k is a nonzero multiple of k), of modulus between
+    2 sin(pi/m_j) and 2, or absent.  So |Pi_{h,k}| <= B on every arc, and
+    the h-sum of a class of level ell has modulus at most ceil(k/ell) B.
+    """
+    return sum(max(0.0, d * math.log(2 if d > 0 else 2 * math.sin(math.pi / m)))
+               for m, d in zip(spec.m, spec.delta))
+
+
+def _tail_groups(spec: ProductSpec) -> list[tuple[float, int]]:
+    """(Delta, least D) per Delta of the live major-arc cells (D, c) of
+    `spec.arcs`, those with gcd(c, D) = 1.
+
+    In any other cell g = gcd(c, D) > 1 divides kappa, ell and L for each
+    class, so it divides every level k = ell (mod L) and every
+    h = kappa (mod ell): the class never has an admissible h.  A class of
+    cell (D, c) has ell >= D, and so have its levels.
+    """
+    least: dict[int, int] = {}
+    for D, cells in spec.arcs.items():         # D increasing
+        for c, (dn, _) in enumerate(cells):
+            if dn > 0 and math.gcd(c, D) == 1:
+                least.setdefault(dn, D)
+    return [(dn / spec.L, D) for dn, D in least.items()]
+
+
+def _tail_bound(groups, log_b: float, w: float, k: int, K: int) -> float:
+    """log of a bound on the sum of the terms of the levels k' with
+    k < k' <= K, for the `groups` of :func:`_tail_groups` and
+    log_b = :func:`_pi_log_bound`.
+
+    Level k' has at most ell <= k' classes, each with at most
+    ceil(k'/ell) <= k'/ell + 1 admissible h.  So the terms of one Delta
+    at k' add up to at most (2 pi/k') sqrt(Delta/w) I_1(x/k') B (k' + ell)
+    <= 4 pi sqrt(Delta/w) B I_1(x/k'), x = pi sqrt(Delta w)/6, and I_1
+    increases, while k' >= max(k + 1, least D).  The bound is doubled to
+    cover the rounding of its own evaluation.
+    """
+    logs = [math.log(8 * math.pi * (K - k) * math.sqrt(dv / w)) + log_b
+            + _log_i1(math.pi * math.sqrt(dv * w) / (6 * max(k + 1, D)))
+            for dv, D in groups]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def _main_sums(spec: ProductSpec, ns, K: int | None = None,
@@ -546,6 +663,13 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
     gcd(kappa, ell, k) > 1 have no admissible h and are skipped.  If some
     K(n) stops below the first level with a member, the sum is empty and
     ValueError names that level.
+
+    Without `members` the levels are generated one at a time, upward from
+    the first.  With the default K(n), the sum at n stops at a checkpoint
+    k = 2 first, 4 first, ... once :func:`_tail_bound` of the levels it
+    has left is below 2^-60 times its largest term, so it differs from
+    the sum up to K(n) by at most that bound.  An explicit K or `members`
+    sums every level.
 
     Levels are the outer loop and n the inner one: per block of
     `_BLOCK` n, one :func:`_level_terms` pass runs each level's kernel
@@ -562,16 +686,16 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
     L = spec.L
     if members is None:
         Ks = [K or default_K(spec, n) for n in ns]
-        positive: dict[int, list[int]] = {}     # ell -> its major-arc kappas
+        positive: dict[int, list[tuple[int, int]]] = {}     # ell -> _major_classes
 
         def level(k):
-            """(ell, the kappas of the members at level k)."""
+            """(ell, the (kappa, L Delta) of the members at level k)."""
             ell = (k - 1) % L + 1
-            kappas = positive.get(ell)
-            if kappas is None:
-                kappas = positive[ell] = [kappa for kappa, _ in _major_classes(spec, ell)]
+            classes = positive.get(ell)
+            if classes is None:
+                classes = positive[ell] = _major_classes(spec, ell)
             g = math.gcd(ell, k)
-            return ell, [kappa for kappa in kappas if math.gcd(kappa, g) == 1]
+            return ell, [(kappa, dn) for kappa, dn in classes if math.gcd(kappa, g) == 1]
 
         # a class with a member at k = ell + jL has one at k = ell + L,
         # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
@@ -582,33 +706,56 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         if short is not None:
             raise ValueError(f"the main sum is empty for K = {short}: "
                              f"its first term is at level k = {first}")
-        members = [(kappa, ell, k) for k in range(first, max(Ks, default=0) + 1)
-                   for ell, kappas in [level(k)] for kappa in kappas]
+        if K is None:
+            groups, log_b = _tail_groups(spec), _pi_log_bound(spec)
+
+        def passes(block):
+            """(level, arcs, classes) per level k >= first that a row
+            [n, K(n), w, terms] of `block` needs; a checkpoint lowers the
+            K(n) of each row whose omitted levels are within budget."""
+            check = 2 * first
+            for k in count(first):
+                if all(row[1] < k for row in block):
+                    return
+                ell, classes = level(k)
+                if classes:
+                    for lv, arcs in _level_terms(spec, [(kappa, ell, k) for kappa, _ in classes]):
+                        yield lv, arcs, classes
+                if K is None and k == check:
+                    check *= 2
+                    for row in block:
+                        _, Kn, w, terms = row
+                        if (Kn > k and terms and _tail_bound(groups, log_b, w, k, Kn)
+                                < max(lm for lm, _ in terms) - _BUDGET):
+                            row[1] = k
     else:
         Ks = [math.inf] * len(ns)
-    levels: dict[tuple[int, int], list[tuple[int, int]]] = {}   # -> [(kappa, L Delta)]
-    for kappa, ell, k in members:
-        if not (0 <= kappa < ell <= L and k >= 1 and (k - ell) % L == 0):
-            raise ValueError(f"member {(kappa, ell, k)} needs 0 <= kappa < ell <= "
-                             f"L = {L}, k >= 1 and k = ell (mod L)")
-        D = math.gcd(ell, L)
-        dn = spec.arcs[D][kappa % D][0]
-        if dn <= 0:
-            raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
-        levels.setdefault((k, ell), []).append((kappa, dn))
+        levels: dict[tuple[int, int], list[tuple[int, int]]] = {}   # -> [(kappa, L Delta)]
+        for kappa, ell, k in members:
+            if not (0 <= kappa < ell <= L and k >= 1 and (k - ell) % L == 0):
+                raise ValueError(f"member {(kappa, ell, k)} needs 0 <= kappa < ell <= "
+                                 f"L = {L}, k >= 1 and k = ell (mod L)")
+            D = math.gcd(ell, L)
+            dn = spec.arcs[D][kappa % D][0]
+            if dn <= 0:
+                raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
+            levels.setdefault((k, ell), []).append((kappa, dn))
+
+        def passes(block):
+            for lv, arcs in _level_terms(spec, members):
+                yield lv, arcs, levels[lv]
     front = LogComplex.from_complex(_unit(sum(spec.delta), 2))
     out = []
     for b in range(0, len(ns), _BLOCK):
-        block = [(n, Kn, float(24 * n + spec.omega), [])
+        block = [[n, Kn, float(24 * n + spec.omega), []]
                  for n, Kn in zip(ns[b:b + _BLOCK], Ks[b:b + _BLOCK])]
-        top = max(Kn for _, Kn, _, _ in block)
-        for (k, ell), arcs in _level_terms(spec, [m for m in members if m[2] <= top]):
+        for (k, ell), arcs, classes in passes(block):
             for n, Kn, w, terms in block:
                 if k > Kn:
                     continue
                 sums = _class_sums(spec, n, (k, ell), arcs)
                 bessels: dict[int, tuple[float, float]] = {}
-                for kappa, dn in levels[k, ell]:
+                for kappa, dn in classes:
                     hs = sums.get(kappa, 0)
                     if hs == 0:
                         continue
@@ -647,6 +794,8 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     members of each level k, the classes in its positive cells, are
     generated from it.  Classes with gcd(kappa, ell, k) > 1 have no
     admissible h and are skipped.  If no level k <= K has a member, the
-    sum is empty and ValueError names the first k that has one.
+    sum is empty and ValueError names the first k that has one.  With the
+    default K, the levels whose terms are bounded by 2^-60 of the largest
+    one are left out (see :func:`_main_sums`); an explicit K sums them all.
     """
     return _main_sums(spec, [n], K)[0]

@@ -6,6 +6,7 @@ import cmath
 import gc
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_kernel, _arc_phase, _arc_table,
                                    _bessel_i1_asym_log, _bessel_i1_series_log,
-                                   _level_sums, _level_terms, _unit)
+                                   _level_sums, _level_terms, _pi_value, _unit)
 from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
@@ -196,6 +197,41 @@ class TestArcTable:
         calls.clear()
         check_assumption(spec)
         assert calls == []
+
+    def test_divisors_from_the_moduli(self):
+        rng = random.Random(47)
+        specs = [ProductSpec((9240,), (1,), (-1,))]
+        while len(specs) < 60:
+            spec = random_spec(rng, max_j=4, max_m=30)
+            if spec.L <= 2000:
+                specs.append(spec)
+        for spec in specs:
+            assert asymptotics._divisors(spec) == [d for d in range(1, spec.L + 1)
+                                                   if spec.L % d == 0]
+
+    @pytest.mark.parametrize("mrd, L, sigma", [
+        (((997, 991), (1, 1), (-1, -1)), 988027, 990016),
+        (((997, 991, 983), (1, 1, 1), (-1, -1, -1)), 971230541, 974175744),
+        (((2, 3, 5, 7, 11, 13, 17, 19), (1,) * 8, (1,) * 8), 9699690, 34836480),
+    ])
+    def test_sigma_limit(self, mrd, L, sigma, monkeypatch):
+        # refused before a cell is built, and before L is scanned
+        def refuse(*args):
+            raise AssertionError("built a cell")
+
+        monkeypatch.setattr(asymptotics, "_delta_num", refuse)
+        spec = ProductSpec(*mrd)
+        message = (f"L = {L} has sigma(L) = {sigma} divisor cells, more than the "
+                   f"limit of {asymptotics._MAX_CELLS}")
+        start = time.perf_counter()
+        for query in (lambda: spec.arcs, lambda: g_asymptotic(spec, 10 ** 9),
+                      lambda: check_assumption(spec)):
+            with pytest.raises(ValueError) as exc:
+                query()
+            assert str(exc.value) == message
+            assert not isinstance(exc.value, HypothesisError)
+        assert time.perf_counter() - start < 0.5
+        assert len(expand_spec(spec, 30).coeffs) == 31
 
 
 class TestHypothesisFailure:
@@ -575,10 +611,10 @@ class TestKernelInvariants:
         assert checked          # every factor has one at k = 1
 
     @pytest.mark.parametrize("spec", _kernel_specs(), ids=str)
-    def test_reflection_h_to_k_minus_h(self, spec):
+    def test_reflection_h_to_k_minus_h(self, spec, k_max=K_MAX):
         # Pi(k - h) = Pi(h), and num(k - h) = C_k - num(h) mod 6 L k with
         # one constant C_k per level
-        for k in range(2, self.K_MAX):
+        for k in range(2, k_max):
             arcs = {h: (num, pi) for h, num, pi in _arc_kernel(spec, k, coprime_residues(k))}
             constants = set()
             for h, (num, pi) in arcs.items():
@@ -586,6 +622,46 @@ class TestKernelInvariants:
                 assert pi2 == pi
                 constants.add((num + num2) % (6 * spec.L * k))
             assert len(constants) == 1
+
+    @pytest.mark.parametrize("spec", [random_spec(random.Random(84 + i), max_j=4, max_m=30)
+                                      for i in range(8)], ids=str)
+    def test_reflection_to_k_200(self, spec):
+        # moduli up to 30 and levels up to 200, which the level pass relies on
+        self.test_reflection_h_to_k_minus_h(spec, 200)
+
+    @pytest.mark.parametrize("spec", _kernel_specs()[:8], ids=str)
+    def test_level_pass_evaluates_one_h_per_pair(self, spec, monkeypatch):
+        # a level whose cells are closed under c -> -c (mod D), D | k, runs
+        # the kernel on at most |hs|/2 + 2 of its h, with the direct terms
+        evaluated = []
+        real = asymptotics._arc_kernel
+
+        def counted(spec, k, hs, hbars=None):
+            hs = list(hs)
+            evaluated.extend(hs)
+            return real(spec, k, hs, hbars)
+
+        monkeypatch.setattr(asymptotics, "_arc_kernel", counted)
+        L = spec.L
+        for k in range(1, 3 * self.K_MAX):
+            ell = (k - 1) % L + 1
+            members = [(kappa, ell, k) for kappa in range(ell)]
+            (level, terms), = _level_terms(spec, members)
+            D = math.gcd(ell, L)
+            hs = [h for c in range(D) for h in range(c, k, D) if math.gcd(h, k) == 1]
+            assert len(evaluated) <= (len(hs) if k <= 2 else len(hs) // 2 + 2)
+            evaluated.clear()
+            direct = [(h, num, _pi_value(pi)) for h, num, pi in real(spec, k, hs)]
+            assert terms == direct
+
+    def test_level_pass_without_reflection(self):
+        # TG (L = 10): at (3, 6, 9) D = 2 does not divide k; at (1, 5, 15)
+        # the cell {1} of D = 5 is not closed under c -> -c
+        for member in ((3, 6, 9), (1, 5, 15), (0, 2, 4)):
+            kappa, ell, k = member
+            (level, terms), = _level_terms(TG, [member])
+            direct = [(h, num, _pi_value(pi)) for h, num, pi in member_kernel(TG, kappa, ell, k)]
+            assert level == (k, ell) and [t for t in terms if t[0] % ell == kappa] == direct
 
 
 class TestFloatMainSum:
@@ -705,6 +781,99 @@ class TestMainSumsOverN:
         # here each n holds about 13 KB of terms while its block is summed,
         # and keeps a value of about 0.1 KB
         assert four - one < 24 * 2000
+
+
+def _budget_cases():
+    """(spec, n): the oneshot asym specs at their n pools, P5/RR/TG at
+    n = 10^4 and 10^5, and 20 seeded random specs that satisfy the
+    hypothesis."""
+    cases = [(parse_spec(text.split()), n) for text, centre in ONESHOT_ASYM.items()
+             for n in _oneshot_pool(centre)]
+    cases += [(spec, n) for spec in (P5, RR, TG) for n in (10 ** 4, 10 ** 5)]
+    rng = random.Random(97)
+    drawn = 0
+    while drawn < 20:
+        spec = random_spec(rng, max_j=3, max_m=12)
+        if check_assumption(spec)[0]:
+            cases.append((spec, rng.randint(2000, 20000)))
+            drawn += 1
+    return cases
+
+
+def _bits(value):
+    return value.log_mag, value.arg
+
+
+class TestErrorBudget:
+    """The default k-sum stops where a bound on every omitted level is
+    below 2^-60 of its largest term; an explicit K sums every level."""
+
+    def test_omitted_levels_within_the_bound(self, monkeypatch):
+        checks = []
+        real = asymptotics._tail_bound
+
+        def recorded(groups, log_b, w, k, K):
+            checks.append((k, real(groups, log_b, w, k, K)))
+            return checks[-1][1]
+
+        monkeypatch.setattr(asymptotics, "_tail_bound", recorded)
+        stopped = {}
+        for spec, n in _budget_cases():
+            checks.clear()
+            early = g_asymptotic(spec, n)
+            K = default_K(spec, n)
+            full = g_asymptotic(spec, n, K)
+            assert all(k < K for k, _ in checks)
+            if not checks or _bits(early) != _bits(g_asymptotic(spec, n, checks[-1][0])):
+                assert _bits(early) == _bits(full)
+                continue
+            # stopped after level k: the LogComplex oracle over the
+            # omitted members is within the bound the rule used
+            k, bound = checks[-1]
+            omitted = logcomplex_main_sum(spec, n, [m for m in _main_sum_members(spec, K)
+                                                    if m[2] > k])
+            assert omitted.log_mag <= bound
+            diff = abs(cmath.rect(math.exp(early.log_mag - full.log_mag), early.arg)
+                       - cmath.rect(1.0, full.arg))
+            assert diff <= (math.exp(bound - full.log_mag)
+                            + 16 * math.ulp(abs(full.log_mag) + math.pi))
+            stopped[repr(spec), n] = k
+        # P5 at the pools and at large n stops within a few levels; the
+        # dead class (0, 5) of P5 (Delta = 10) would hold it at the top
+        assert all(stopped.get((repr(P5), n), 99) <= 4 for n in _oneshot_pool(0.5))
+        assert all(stopped.get((repr(spec), n), 99) <= 16
+                   for spec in (P5, RR, TG) for n in (10 ** 4, 10 ** 5))
+        assert len(stopped) >= 20, stopped
+
+    def test_h_sum_bound(self):
+        # |h-sum| <= ceil(k/ell) B for every class of every level k <= 200
+        rng = random.Random(98)
+        specs = _kernel_specs()[:6] + [random_spec(rng, max_j=3, max_m=12) for _ in range(6)]
+        compared = 0
+        for spec in specs:
+            B = math.exp(asymptotics._pi_log_bound(spec))
+            members = [(kappa, (k - 1) % spec.L + 1, k) for k in range(1, 201)
+                       for kappa in range((k - 1) % spec.L + 1)]
+            for (kappa, ell, k), value in _level_pass(spec, rng.randint(1, 5000),
+                                                      members).items():
+                if value is not None:
+                    assert abs(value) <= -(-k // ell) * B * (1 + 1e-12)
+                    compared += 1
+        assert compared > 5000
+
+    def test_explicit_K_sums_every_level(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an explicit K stopped early")
+
+        monkeypatch.setattr(asymptotics, "_tail_bound", refuse)
+        for spec, n in ((P5, 1434), (P5, 20000), (TG, 10 ** 4)):
+            K = default_K(spec, n)
+            got = g_asymptotic(spec, n, K)
+            want = logcomplex_main_sum(spec, n, _main_sum_members(spec, K))
+            assert _bits(got) == _bits(want)
+            members = _main_sum_members(spec, 8)
+            assert (_bits(g_asymptotic_members(spec, n, members))
+                    == _bits(logcomplex_main_sum(spec, n, members)))
 
 
 class TestLogComplex:

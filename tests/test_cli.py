@@ -326,6 +326,30 @@ class TestAnalyze:
         assert run(capsys, "asym", "3:1:1", "6:3:-2", "--n", "100")[0] == 2
 
 
+class TestLargeInputsAnswerFast:
+    """A huge n or L answers within a second: the default k-sum stops at
+    its error budget (default K = 25,066,282,746 and 250,662 here), and
+    sigma(L) is checked before the divisor cells are built."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("asym", "5:1:-1", "--n", "100000000000000000000"), 0),
+        (("asym", "5:1:-1", "--n", "10000000000"), 0),
+        (("asym", "997:1:-1", "991:1:-1", "983:1:-1", "--n", "100000"), 1),
+        (("asym", "997:1:-1", "991:1:-1", "--n", "1000"), 1),
+        (("compare", "997:1:-1", "991:1:-1", "--n-list", "1000"), 1),
+    ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
+    def test_answers_within_a_second(self, capsys, argv, code):
+        start = time.perf_counter()
+        got, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert got == code
+        if code:
+            assert out == "" and "divisor cells, more than the limit of" in err
+            assert len(err.splitlines()) == 1
+        else:
+            assert err == "" and '"sign":1' in out
+
+
 class TestHypothesisFailsFast:
     # L = 924: 66,939 of the 427,350 classes violate the inequality
     SPEC = ("7:1:-1", "11:1:-1", "12:1:-1")
