@@ -100,7 +100,10 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and
         # Pi values are shared by all residues n0
-        arcs = dict(_level_terms(spec, level.members))
+        kappas: dict[tuple[int, int], list[int]] = {}
+        for kappa, ell, k in level.members:
+            kappas.setdefault((k, ell), []).append(kappa)
+        arcs = {lv: _level_terms(spec, *lv, ks) for lv, ks in kappas.items()}
         present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
                    for h, _, _ in terms}
         contributing = [m for m in level.members if m in present]
@@ -110,7 +113,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
         scale = 0.0
         amps = []
         for n0 in range(P):
-            sums = {lv: _class_sums(spec, n0, lv, terms) for lv, terms in arcs.items()}
+            sums = {lv: _class_sums(spec, n0, *lv, terms) for lv, terms in arcs.items()}
             total = 0j
             for kappa, ell, k in contributing:
                 total += sums[k, ell][kappa]

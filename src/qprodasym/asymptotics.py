@@ -101,9 +101,19 @@ _MAX_CELLS = 150_000
 
 
 def _divisors(spec: ProductSpec) -> list[int]:
-    """The divisors of L, increasing, from the prime powers of the m_j."""
+    """The divisors of L, increasing, from the prime powers of the m_j.
+
+    ValueError if sigma(L) exceeds `_MAX_CELLS`.  sigma(L) is the product
+    of (p^(e+1) - 1)/(p - 1) over the prime powers p^e of L, so it is
+    known before any divisor is listed; a modulus m_j >= `_MAX_CELLS` is
+    refused before it is factored, since sigma(L) > L >= m_j.
+    """
+    L = spec.L
     powers: dict[int, int] = {}
     for m in spec.m:
+        if m >= _MAX_CELLS:
+            raise ValueError(f"L = {L} has sigma(L) > L divisor cells, "
+                             f"more than the limit of {_MAX_CELLS}")
         p = 2
         while p * p <= m:
             e = 0
@@ -115,6 +125,10 @@ def _divisors(spec: ProductSpec) -> list[int]:
             p += 1
         if m > 1:
             powers[m] = max(powers.get(m, 0), 1)
+    sigma = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in powers.items())
+    if sigma > _MAX_CELLS:
+        raise ValueError(f"L = {L} has sigma(L) = {sigma} divisor cells, "
+                         f"more than the limit of {_MAX_CELLS}")
     divisors = [1]
     for p, e in powers.items():
         divisors = [d * p ** i for d in divisors for i in range(e + 1)]
@@ -129,14 +143,10 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
     depends on kappa mod gcd(m_j, ell), a divisor of D.  So
     table[D][c] = (L Delta(c, D), L bound(c, D)), integers, for 0 <= c < D
     stands for every class with gcd(ell, L) = D and kappa = c (mod D).
-    ValueError if sigma(L) exceeds `_MAX_CELLS`.
+    ValueError if sigma(L) exceeds `_MAX_CELLS` (see :func:`_divisors`).
     """
-    divisors = _divisors(spec)
-    if sum(divisors) > _MAX_CELLS:
-        raise ValueError(f"L = {spec.L} has sigma(L) = {sum(divisors)} divisor cells, "
-                         f"more than the limit of {_MAX_CELLS}")
     return {D: [(_delta_num(spec, c, D), _bound_num(spec, c, D)) for c in range(D)]
-            for D in divisors}
+            for D in _divisors(spec)}
 
 
 def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
@@ -506,48 +516,49 @@ def _paired_kernel(spec: ProductSpec, k: int, hs: list[int]) -> list:
     return [(h, *arcs[h]) for h in hs]
 
 
-def _level_terms(spec: ProductSpec, members: Iterable[tuple[int, int, int]]
-                 ) -> Iterator[tuple[tuple[int, int], list]]:
-    """Yield ((k, ell), [(h, phase numerator, Pi_{h,k})]) per level of
-    `members`, one level at a time, so that only one level's arcs are held.
+def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
+    """The exact arcs [(h, phase numerator, Pi factors)] of the classes
+    (kappa, ell) of level k, for kappa in `kappas`.
 
     A class (kappa, ell) at k sums over the h coprime to k with
     h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
-    D = gcd(ell, L).  Each level walks every h of its members' cells once,
-    increasing within a cell, and runs one :func:`_arc_kernel` pass over
-    them.  The phase stays exact (an integer over 3 L k).  Pi does not
-    depend on n, and it takes few values: m_j hbar h = -g (mod k) leaves
-    at most g = gcd(m_j, k) exponents per factor and level.  So each
-    distinct factor tuple is evaluated once by :func:`_pi_value`.
-
-    When D divides k and the cells are closed under c -> -c (mod D), the
-    h come in pairs {h, k - h}, and :func:`_paired_kernel` evaluates one
-    of each.
+    D = gcd(ell, L).  The level walks every h of the cells of `kappas`
+    once, increasing within a cell, and runs one :func:`_arc_kernel` pass
+    over them, so the output is integers only: num over 3 L k and the
+    factor tuples of Pi.  When D divides k and the cells are closed under
+    c -> -c (mod D), the h come in pairs {h, k - h}, and
+    :func:`_paired_kernel` evaluates one of each.
     """
-    L = spec.L
-    cells: dict[tuple[int, int], set[int]] = {}
-    for kappa, ell, k in members:
-        cells.setdefault((k, ell), set()).add(kappa % math.gcd(ell, L))
+    D = math.gcd(ell, spec.L)
+    cs = {kappa % D for kappa in kappas}
+    hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
+    if hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}:
+        return _paired_kernel(spec, k, hs)
+    return _arc_kernel(spec, k, hs)
+
+
+def _level_terms(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
+    """:func:`_level_arcs` with Pi_{h,k} as a complex double.
+
+    Pi does not depend on n, and it takes few values: m_j hbar h = -g
+    (mod k) leaves at most g = gcd(m_j, k) exponents per factor and level.
+    So each distinct factor tuple of the level is evaluated once by
+    :func:`_pi_value`.
+    """
     pis = {}
-    for (k, ell), cs in cells.items():
-        D = math.gcd(ell, L)
-        hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
-        if hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}:
-            kernel = _paired_kernel(spec, k, hs)
-        else:
-            kernel = _arc_kernel(spec, k, hs)
-        terms = []
-        for h, num, factors in kernel:
-            pi = pis.get(factors)
-            if pi is None:
-                pi = pis[factors] = _pi_value(factors)
-            terms.append((h, num, pi))
-        yield (k, ell), terms
+    terms = []
+    for h, num, factors in _level_arcs(spec, k, ell, kappas):
+        pi = pis.get(factors)
+        if pi is None:
+            pi = pis[factors] = _pi_value(factors)
+        terms.append((h, num, pi))
+    return terms
 
 
-def _level_sums(terms, step: int, D: int, ell: int) -> dict:
+def _class_sums(spec: ProductSpec, n: int, k: int, ell: int, terms) -> dict:
     """Per class kappa = h mod ell, the sum of e^{-2 pi i n h / k}
-    phase_{h,k} Pi_{h,k} over the `terms` of one level, in their order.
+    phase_{h,k} Pi_{h,k} over the :func:`_level_terms` `terms` of level
+    (k, ell), in their order: the per-n stage of the main sum.
 
     -2 n h / k is -step h / D with step = 6 L n and D = 3 L k, so each
     exponent stays an integer over D, is reduced into (-D, D] and is
@@ -556,6 +567,8 @@ def _level_sums(terms, step: int, D: int, ell: int) -> dict:
     """
     exp = cmath.exp
     jpi = 1j * math.pi
+    step = 6 * spec.L * n
+    D = 3 * spec.L * k
     D2 = 2 * D
     sums = {}
     for h, num, pi in terms:
@@ -565,13 +578,6 @@ def _level_sums(terms, step: int, D: int, ell: int) -> dict:
         kappa = h % ell
         sums[kappa] = sums.get(kappa, 0j) + exp(jpi * (t / D)) * pi
     return sums
-
-
-def _class_sums(spec: ProductSpec, n: int, level: tuple[int, int], terms) -> dict:
-    """The h-sums at n of the classes of `level` = (k, ell), from its
-    :func:`_level_terms` `terms`: the per-n stage of the main sum."""
-    k, ell = level
-    return _level_sums(terms, 6 * spec.L * n, 3 * spec.L * k, ell)
 
 
 def _require_range(spec: ProductSpec, n: int) -> None:
@@ -664,15 +670,17 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
     K(n) stops below the first level with a member, the sum is empty and
     ValueError names that level.
 
-    Without `members` the levels are generated one at a time, upward from
-    the first.  With the default K(n), the sum at n stops at a checkpoint
-    k = 2 first, 4 first, ... once :func:`_tail_bound` of the levels it
-    has left is below 2^-60 times its largest term, so it differs from
-    the sum up to K(n) by at most that bound.  An explicit K or `members`
-    sums every level.
+    Both forms give the levels as ((k, ell), [(kappa, L Delta)]): without
+    `members` they are generated one at a time, upward from the first,
+    and every level is visited, with or without classes; with them, they
+    are the members grouped by level.  With the default K(n), the sum at
+    n stops at a checkpoint k = 2 first, 4 first, ... once
+    :func:`_tail_bound` of the levels it has left is below 2^-60 times its
+    largest term, so it differs from the sum up to K(n) by at most that
+    bound.  An explicit K or `members` sums every level.
 
     Levels are the outer loop and n the inner one: per block of
-    `_BLOCK` n, one :func:`_level_terms` pass runs each level's kernel
+    `_BLOCK` n, one :func:`_level_terms` call runs each level's kernel
     once, then :func:`_class_sums` and the factor pref * I_{-1}(x), which
     depends on Delta and k only, run once per (Delta, k) for each n whose
     K(n) reaches k.  Terms are float (log-magnitude, argument) pairs, and
@@ -684,18 +692,19 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         _require_range(spec, n)
     _require_assumption(spec)
     L = spec.L
+    stops = K is None and members is None       # the error budget applies
     if members is None:
         Ks = [K or default_K(spec, n) for n in ns]
         positive: dict[int, list[tuple[int, int]]] = {}     # ell -> _major_classes
 
         def level(k):
-            """(ell, the (kappa, L Delta) of the members at level k)."""
+            """((k, ell), the (kappa, L Delta) of the members at level k)."""
             ell = (k - 1) % L + 1
             classes = positive.get(ell)
             if classes is None:
                 classes = positive[ell] = _major_classes(spec, ell)
             g = math.gcd(ell, k)
-            return ell, [(kappa, dn) for kappa, dn in classes if math.gcd(kappa, g) == 1]
+            return (k, ell), [(kappa, dn) for kappa, dn in classes if math.gcd(kappa, g) == 1]
 
         # a class with a member at k = ell + jL has one at k = ell + L,
         # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
@@ -706,31 +715,12 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         if short is not None:
             raise ValueError(f"the main sum is empty for K = {short}: "
                              f"its first term is at level k = {first}")
-        if K is None:
+        if stops:
             groups, log_b = _tail_groups(spec), _pi_log_bound(spec)
-
-        def passes(block):
-            """(level, arcs, classes) per level k >= first that a row
-            [n, K(n), w, terms] of `block` needs; a checkpoint lowers the
-            K(n) of each row whose omitted levels are within budget."""
-            check = 2 * first
-            for k in count(first):
-                if all(row[1] < k for row in block):
-                    return
-                ell, classes = level(k)
-                if classes:
-                    for lv, arcs in _level_terms(spec, [(kappa, ell, k) for kappa, _ in classes]):
-                        yield lv, arcs, classes
-                if K is None and k == check:
-                    check *= 2
-                    for row in block:
-                        _, Kn, w, terms = row
-                        if (Kn > k and terms and _tail_bound(groups, log_b, w, k, Kn)
-                                < max(lm for lm, _ in terms) - _BUDGET):
-                            row[1] = k
+        levels = lambda: map(level, count(first))
     else:
         Ks = [math.inf] * len(ns)
-        levels: dict[tuple[int, int], list[tuple[int, int]]] = {}   # -> [(kappa, L Delta)]
+        grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for kappa, ell, k in members:
             if not (0 <= kappa < ell <= L and k >= 1 and (k - ell) % L == 0):
                 raise ValueError(f"member {(kappa, ell, k)} needs 0 <= kappa < ell <= "
@@ -739,35 +729,45 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
             dn = spec.arcs[D][kappa % D][0]
             if dn <= 0:
                 raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
-            levels.setdefault((k, ell), []).append((kappa, dn))
-
-        def passes(block):
-            for lv, arcs in _level_terms(spec, members):
-                yield lv, arcs, levels[lv]
+            grouped.setdefault((k, ell), []).append((kappa, dn))
+        levels = grouped.items
     front = LogComplex.from_complex(_unit(sum(spec.delta), 2))
     out = []
     for b in range(0, len(ns), _BLOCK):
+        # rows [n, K(n), w, terms]; a checkpoint lowers the K(n) of each
+        # row whose omitted levels are within budget
         block = [[n, Kn, float(24 * n + spec.omega), []]
                  for n, Kn in zip(ns[b:b + _BLOCK], Ks[b:b + _BLOCK])]
-        for (k, ell), arcs, classes in passes(block):
-            for n, Kn, w, terms in block:
-                if k > Kn:
-                    continue
-                sums = _class_sums(spec, n, (k, ell), arcs)
-                bessels: dict[int, tuple[float, float]] = {}
-                for kappa, dn in classes:
-                    hs = sums.get(kappa, 0)
-                    if hs == 0:
+        check = 2 * first if stops else 0           # 0: no checkpoint
+        for (k, ell), classes in levels():
+            if all(row[1] < k for row in block):
+                break
+            if classes:
+                arcs = _level_terms(spec, k, ell, [kappa for kappa, _ in classes])
+                for n, Kn, w, terms in block:
+                    if k > Kn:
                         continue
-                    factor = bessels.get(dn)
-                    if factor is None:
-                        dv = dn / L
-                        x = math.pi * math.sqrt(dv * w) / (6 * k)
-                        bessel = bessel_I_minus1(x)
-                        factor = bessels[dn] = _times(
-                            (math.log(2 * math.pi / k) + 0.5 * math.log(dv / w), 0.0),
-                            (bessel.log_mag, bessel.arg))
-                    terms.append(_times(factor, _polar(hs)))
+                    sums = _class_sums(spec, n, k, ell, arcs)
+                    bessels: dict[int, tuple[float, float]] = {}
+                    for kappa, dn in classes:
+                        hs = sums.get(kappa, 0)
+                        if hs == 0:
+                            continue
+                        factor = bessels.get(dn)
+                        if factor is None:
+                            dv = dn / L
+                            x = math.pi * math.sqrt(dv * w) / (6 * k)
+                            factor = bessels[dn] = (math.log(2 * math.pi / k)
+                                                    + 0.5 * math.log(dv / w)
+                                                    + bessel_I_minus1(x).log_mag, 0.0)
+                        terms.append(_times(factor, _polar(hs)))
+            if k == check:
+                check *= 2
+                for row in block:
+                    _, Kn, w, terms = row
+                    if (Kn > k and terms and _tail_bound(groups, log_b, w, k, Kn)
+                            < max(lm for lm, _ in terms) - _BUDGET):
+                        row[1] = k
         out += [front * logc_sum(terms) for *_, terms in block]
     return out
 

@@ -15,9 +15,8 @@ from qprodasym import ProductSpec
 from qprodasym._backend import get_backend
 from qprodasym.arith import coprime_residues, gcd0, hbar
 from qprodasym.asymptotics import (LogComplex, _arc_kernel, _arc_table,
-                                   _level_sums, _level_terms, _pi_value,
-                                   _unit, bessel_I_minus1, lambda_int,
-                                   lambda_star)
+                                   _pi_value, _unit, bessel_I_minus1,
+                                   lambda_int, lambda_star)
 
 # 1/(q, q^4; q^5)_inf — partitions into parts = +-1 mod 5
 P5 = ProductSpec((5,), (1,), (-1,))
@@ -105,7 +104,8 @@ def h_sum(spec, n, kappa, ell, k):
 # -- the LogComplex oracle of the main sum ----------------------------------
 # The accumulation of g_asymptotic_members before its terms became float
 # pairs: one LogComplex per member with a nonzero h-sum, summed as
-# LogComplex objects.  The package must give the same floats.
+# LogComplex objects.  Each h-sum is the member's own h_sum above, not the
+# level pass of the package.  The package must give the same floats.
 
 def logcomplex_sum(terms):
     """Sum of LogComplex terms by max-factoring with compensated summation."""
@@ -126,14 +126,11 @@ def logcomplex_main_sum(spec, n, members):
     LogComplex: pref * I_-1(x) per (Delta, k) times the member's h-sum."""
     table = _arc_table(spec)
     L = spec.L
-    members = list(members)
-    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell)
-            for (k, ell), terms in _level_terms(spec, members)}
     bessels = {}
     terms = []
     w = float(24 * n + spec.omega)
     for kappa, ell, k in members:
-        hs = sums[k, ell].get(kappa, 0)
+        hs = h_sum(spec, n, kappa, ell, k)
         if hs == 0:
             continue
         D = math.gcd(ell, L)

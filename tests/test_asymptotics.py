@@ -22,7 +22,7 @@ from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_kernel, _arc_phase, _arc_table,
                                    _bessel_i1_asym_log, _bessel_i1_series_log,
-                                   _level_sums, _level_terms, _pi_value, _unit)
+                                   _class_sums, _level_arcs, _level_terms, _unit)
 from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
@@ -213,6 +213,10 @@ class TestArcTable:
         (((997, 991), (1, 1), (-1, -1)), 988027, 990016),
         (((997, 991, 983), (1, 1, 1), (-1, -1, -1)), 971230541, 974175744),
         (((2, 3, 5, 7, 11, 13, 17, 19), (1,) * 8, (1,) * 8), 9699690, 34836480),
+        # 2^20 divisors: sigma(L) comes from the prime powers, not from them
+        (((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71),
+          (1,) * 20, (-1,) * 20),
+         557940830126698960967415390, 2660857705190196806418432000),
     ])
     def test_sigma_limit(self, mrd, L, sigma, monkeypatch):
         # refused before a cell is built, and before L is scanned
@@ -482,8 +486,8 @@ class TestArcKernel:
         for kappa, ell, k in ((0, 2, 4), (2, 4, 6), (3, 6, 9), (0, 10, 10)):
             assert list(coprime_residues(k, kappa, ell)) == []
             assert member_kernel(TG, kappa, ell, k) == []
-            terms = dict(_level_terms(TG, [(kappa, ell, k)]))[k, ell]
-            assert kappa not in _level_sums(terms, 0, 3 * TG.L * k, ell)
+            terms = _level_terms(TG, k, ell, [kappa])
+            assert kappa not in _class_sums(TG, 0, k, ell, terms)
 
     def test_h_sum_builds_no_fraction(self, monkeypatch):
         made = []
@@ -496,18 +500,25 @@ class TestArcKernel:
         members = [(kappa, ell, k) for kappa, ell in TG_POSITIVE
                    for k in range(ell, 61, TG.L)]
         monkeypatch.setattr(Fraction, "__new__", counting)
-        sums = [_level_sums(terms, 6 * TG.L * 1468, 3 * TG.L * k, ell)
-                for (k, ell), terms in _level_terms(TG, members)]
+        sums = [_class_sums(TG, 1468, k, ell, _level_terms(TG, k, ell, kappas))
+                for (k, ell), kappas in _by_level(members).items()]
         monkeypatch.undo()
         assert made == []
         assert sum(v for level in sums for v in level.values()) != 0
 
 
+def _by_level(members):
+    """{(k, ell): [kappa]} of the (kappa, ell, k) `members`, in order."""
+    levels = {}
+    for kappa, ell, k in members:
+        levels.setdefault((k, ell), []).append(kappa)
+    return levels
+
+
 def _level_pass(spec, n, members):
     """{member: h-sum} of the level pass over `members`."""
-    L = spec.L
-    sums = {(k, ell): _level_sums(terms, 6 * L * n, 3 * L * k, ell)
-            for (k, ell), terms in _level_terms(spec, members)}
+    sums = {(k, ell): _class_sums(spec, n, k, ell, _level_terms(spec, k, ell, kappas))
+            for (k, ell), kappas in _by_level(members).items()}
     return {(kappa, ell, k): sums[k, ell].get(kappa)
             for kappa, ell, k in members}
 
@@ -632,7 +643,7 @@ class TestKernelInvariants:
     @pytest.mark.parametrize("spec", _kernel_specs()[:8], ids=str)
     def test_level_pass_evaluates_one_h_per_pair(self, spec, monkeypatch):
         # a level whose cells are closed under c -> -c (mod D), D | k, runs
-        # the kernel on at most |hs|/2 + 2 of its h, with the direct terms
+        # the kernel on at most |hs|/2 + 2 of its h, with the direct arcs
         evaluated = []
         real = asymptotics._arc_kernel
 
@@ -645,23 +656,48 @@ class TestKernelInvariants:
         L = spec.L
         for k in range(1, 3 * self.K_MAX):
             ell = (k - 1) % L + 1
-            members = [(kappa, ell, k) for kappa in range(ell)]
-            (level, terms), = _level_terms(spec, members)
+            arcs = _level_arcs(spec, k, ell, range(ell))
             D = math.gcd(ell, L)
             hs = [h for c in range(D) for h in range(c, k, D) if math.gcd(h, k) == 1]
             assert len(evaluated) <= (len(hs) if k <= 2 else len(hs) // 2 + 2)
             evaluated.clear()
-            direct = [(h, num, _pi_value(pi)) for h, num, pi in real(spec, k, hs)]
-            assert terms == direct
+            assert arcs == real(spec, k, hs)
 
     def test_level_pass_without_reflection(self):
         # TG (L = 10): at (3, 6, 9) D = 2 does not divide k; at (1, 5, 15)
         # the cell {1} of D = 5 is not closed under c -> -c
-        for member in ((3, 6, 9), (1, 5, 15), (0, 2, 4)):
-            kappa, ell, k = member
-            (level, terms), = _level_terms(TG, [member])
-            direct = [(h, num, _pi_value(pi)) for h, num, pi in member_kernel(TG, kappa, ell, k)]
-            assert level == (k, ell) and [t for t in terms if t[0] % ell == kappa] == direct
+        for kappa, ell, k in ((3, 6, 9), (1, 5, 15), (0, 2, 4)):
+            arcs = _level_arcs(TG, k, ell, [kappa])
+            assert [a for a in arcs if a[0] % ell == kappa] == member_kernel(TG, kappa, ell, k)
+
+    def test_one_pi_value_per_factor_tuple_and_level(self, monkeypatch):
+        # 60:5:-1 at n = 2610: 2,843 arcs in 64 levels take 44 distinct
+        # factor tuples; only () (Pi = 1) recurs across levels
+        spec = ProductSpec((60,), (5,), (-1,))
+        levels, arcs, calls = [], [], []
+        real_arcs, real_pi = asymptotics._level_arcs, asymptotics._pi_value
+
+        def recorded_arcs(spec, k, ell, kappas):
+            levels.append((k, ell))
+            arcs.append(real_arcs(spec, k, ell, kappas))
+            return arcs[-1]
+
+        def recorded_pi(factors):
+            calls.append((levels[-1], factors))
+            return real_pi(factors)
+
+        monkeypatch.setattr(asymptotics, "_level_arcs", recorded_arcs)
+        monkeypatch.setattr(asymptotics, "_pi_value", recorded_pi)
+        asymptotics.g_asymptotic(spec, 2610)
+        monkeypatch.undo()
+        assert len(levels) == len(set(levels)) == 64
+        assert sum(map(len, arcs)) == 2843
+        assert len(calls) == len(set(calls)) == 64
+        assert set(calls) == {(level, factors) for level, level_arcs in zip(levels, arcs)
+                              for _, _, factors in level_arcs}
+        tuples = [factors for _, factors in calls]
+        assert len(set(tuples)) == 44
+        assert {f for f in tuples if tuples.count(f) > 1} == {()}
 
 
 class TestFloatMainSum:
@@ -710,10 +746,10 @@ class TestFloatMainSum:
 
         level_terms = asymptotics._level_terms
 
-        def recorded(spec, members):
-            members = list(members)
-            listed.extend(members)
-            return level_terms(spec, members)
+        def recorded(spec, k, ell, kappas):
+            kappas = list(kappas)
+            listed.extend((kappa, ell, k) for kappa in kappas)
+            return level_terms(spec, k, ell, kappas)
 
         monkeypatch.setattr(LogComplex, "__init__", counted_init)
         monkeypatch.setattr(asymptotics, "_level_terms", recorded)

@@ -329,7 +329,8 @@ class TestAnalyze:
 class TestLargeInputsAnswerFast:
     """A huge n or L answers within a second: the default k-sum stops at
     its error budget (default K = 25,066,282,746 and 250,662 here), and
-    sigma(L) is checked before the divisor cells are built."""
+    sigma(L) is checked before the divisor cells are built, or a modulus
+    above the cell limit before it is factored."""
 
     @pytest.mark.parametrize("argv, code", [
         (("asym", "5:1:-1", "--n", "100000000000000000000"), 0),
@@ -337,6 +338,8 @@ class TestLargeInputsAnswerFast:
         (("asym", "997:1:-1", "991:1:-1", "983:1:-1", "--n", "100000"), 1),
         (("asym", "997:1:-1", "991:1:-1", "--n", "1000"), 1),
         (("compare", "997:1:-1", "991:1:-1", "--n-list", "1000"), 1),
+        # a prime modulus above the cell limit is refused before it is factored
+        (("arcs", "100000000000031:1:-1"), 1),
     ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
     def test_answers_within_a_second(self, capsys, argv, code):
         start = time.perf_counter()
