@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .asymptotics import (HypothesisError, _class_sums, _level_terms,
                           _main_sums, _major_classes, _require_assumption,
-                          _unit)
+                          _tail_groups, _unit)
 from .qseries import ProductSpec, _Record, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -90,12 +90,16 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     resulting amplitude is periodic in n.  If every residue cancels, the
     next level is examined, down to `depth` levels; exhausting them yields
     an inconclusive verdict.  Raises HypothesisError where the hypothesis
-    inequality fails, as the asymptotic formula does not hold there.
+    inequality fails, as the asymptotic formula does not hold there, and
+    where no major-arc class has an admissible h at any level, as the
+    main sum does.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     _require_assumption(spec)
     levels = tuple(dominant_levels(spec, depth))
+    if not _tail_groups(spec):
+        raise HypothesisError("no major-arc class has an admissible h at any level k")
     front = _unit(sum(spec.delta), 2)
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and

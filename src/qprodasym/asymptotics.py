@@ -49,15 +49,24 @@ def lambda_star(m: int, r: int, h: int, k: int) -> Fraction:
     return lambda_int(m, r, h, k) - Fraction(r * h, d)
 
 
-def _delta_num(spec: ProductSpec, kappa: int, ell: int) -> int:
-    """L * Delta(kappa, ell), an integer; see :func:`delta_arc`."""
+def _cell_nums(spec: ProductSpec, kappa: int, ell: int) -> tuple[int, int]:
+    """(L Delta(kappa, ell), L bound(kappa, ell)), integers.
+
+    With g = gcd(m_j, ell) and a = g lambda*_j = (-r_j kappa) mod g, the
+    j-th term of Delta is the integer 2 g^2 + 12 a (a - g) over m_j (see
+    :func:`delta_arc`), and bound = min_j Upsilon(lambda*_j) g^2 / m_j,
+    whose j-th value is g^2 / m_j at a = 0 and g min(a, g - a) / m_j
+    otherwise.  m_j divides L, so both times L are integers.
+    """
     L = spec.L
-    num = 0
+    delta, bounds = 0, []
     for m, r, d in zip(spec.m, spec.r, spec.delta):
         g = math.gcd(m, ell)
         a = -r * kappa % g
-        num += d * (L // m) * (2 * g * g + 12 * a * (a - g))
-    return -num
+        q = L // m
+        delta -= d * q * (2 * g * g + 12 * a * (a - g))
+        bounds.append(q * g * (min(a, g - a) if a else g))
+    return delta, min(bounds)
 
 
 def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
@@ -69,7 +78,7 @@ def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
     """
     if not 0 <= kappa < ell:
         raise ValueError("need 0 <= kappa < ell")
-    return Fraction(_delta_num(spec, kappa, ell), spec.L)
+    return Fraction(_cell_nums(spec, kappa, ell)[0], spec.L)
 
 
 class ArcClass(_Record):
@@ -80,23 +89,9 @@ class ArcClass(_Record):
     delta_value: Fraction
 
 
-def _bound_num(spec: ProductSpec, kappa: int, ell: int) -> int:
-    """L * min_j Upsilon(lambda*_j) * gcd(m_j, ell)^2 / m_j, an integer.
-
-    With g = gcd(m_j, ell) and a = g lambda*_j, the j-th value is g^2 / m_j
-    at a = 0 and g min(a, g - a) / m_j otherwise.
-    """
-    L = spec.L
-    values = []
-    for m, r in zip(spec.m, spec.r):
-        g = math.gcd(m, ell)
-        a = -r * kappa % g
-        values.append((L // m) * g * (min(a, g - a) if a else g))
-    return min(values)
-
-
-# the most divisor cells sigma(L) a spec may have: building them takes
-# about 1 s at this size (2-core host, Python 3.11)
+# the most divisor cells sigma(L) a spec may have: the 145,152 cells of
+# L = 36,960 with five moduli take about 0.4 s to build (2-core host,
+# Python 3.11)
 _MAX_CELLS = 150_000
 
 
@@ -145,8 +140,7 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
     stands for every class with gcd(ell, L) = D and kappa = c (mod D).
     ValueError if sigma(L) exceeds `_MAX_CELLS` (see :func:`_divisors`).
     """
-    return {D: [(_delta_num(spec, c, D), _bound_num(spec, c, D)) for c in range(D)]
-            for D in _divisors(spec)}
+    return {D: [_cell_nums(spec, c, D) for c in range(D)] for D in _divisors(spec)}
 
 
 def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
@@ -332,15 +326,6 @@ def _arc_kernel(spec: ProductSpec, k: int, hs: Iterable[int],
     return out
 
 
-def _arc_phase(spec: ProductSpec, h: int, k: int,
-               hbars: tuple[int, ...] | None = None):
-    """(num, pi) of :func:`_arc_kernel` for the single arc h/k."""
-    if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
-        raise ValueError("need 0 <= h < k with gcd(h, k) = 1")
-    _, num, pi = _arc_kernel(spec, k, (h,), hbars)[0]
-    return num, pi
-
-
 def arc_datum(spec: ProductSpec, h: int, k: int,
               hbars: tuple[int, ...] | None = None) -> ArcDatum:
     """Assemble lambda/hbar data and the exact combined phase for one arc.
@@ -354,9 +339,11 @@ def arc_datum(spec: ProductSpec, h: int, k: int,
     valid choice (shifts by multiples of k/gcd(m_j, k)) leaves the phase
     and Pi unchanged.
     """
+    if k < 1 or not 0 <= h < k or math.gcd(h, k) != 1:
+        raise ValueError("need 0 <= h < k with gcd(h, k) = 1")
     # without an override the kernel takes its modulus-grouped path, the
     # one the main sum runs
-    num, pi = _arc_phase(spec, h, k, hbars)
+    _, num, pi = _arc_kernel(spec, k, (h,), hbars)[0]
     if hbars is None:
         hbars = [hbar(m, h, k) for m in spec.m]
     return ArcDatum(h, k,
@@ -580,11 +567,6 @@ def _class_sums(spec: ProductSpec, n: int, k: int, ell: int, terms) -> dict:
     return sums
 
 
-def _require_range(spec: ProductSpec, n: int) -> None:
-    if Fraction(n) <= -spec.omega / 24:
-        raise HypothesisError(f"n = {n} violates n > -Omega/24 = {-spec.omega / 24}")
-
-
 def _require_assumption(spec: ProductSpec) -> None:
     """Raise HypothesisError where the hypothesis inequality fails, naming
     the number of failing classes and the first ten of them."""
@@ -688,8 +670,10 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
     """
     if K is not None and K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
+    bound = -spec.omega / 24
     for n in ns:
-        _require_range(spec, n)
+        if n <= bound:
+            raise HypothesisError(f"n = {n} violates n > -Omega/24 = {bound}")
     _require_assumption(spec)
     L = spec.L
     stops = K is None and members is None       # the error budget applies

@@ -125,7 +125,7 @@ class ProductSpec(_Record):
     def J(self) -> int:
         return len(self.m)
 
-    @property
+    @functools.cached_property
     def L(self) -> int:
         """lcm of all moduli m_j (each at least 2, checked on construction)."""
         return math.lcm(*self.m)

@@ -11,7 +11,7 @@ import math
 
 from ._backend import get_backend
 from .arith import gcd0, hbar, inverse_dedekind6
-from .asymptotics import lambda_int, _arc_phase, _delta_num, _unit
+from .asymptotics import lambda_int, _arc_kernel, _cell_nums, _unit
 from .qseries import ProductSpec, _Record
 
 _MAX_TERMS = 200_000
@@ -46,7 +46,7 @@ def default_terms(min_im: float) -> int:
     return min(_MAX_TERMS, math.ceil(60.0 / min_im))
 
 
-def _tail_start(c, q, B):
+def _tail_start(c, q):
     """(c / (1 - |q|), |q|): after k factors, c |q|^k / (1 - |q|) bounds
     the log of the factors not yet taken."""
     absq = abs(q)
@@ -77,7 +77,7 @@ def eval_eta(tau, terms: int, precision: str = "double"):
         raise ValueError("tau must lie in the upper half plane")
     q = B.exp(2j * B.pi * tau)
     value = B.exp(2j * B.pi * tau / 24)
-    tail, absq = _tail_start(abs(q), q, B)
+    tail, absq = _tail_start(abs(q), q)
     qk = q
     for _ in range(terms):
         if tail < B.eps:
@@ -122,7 +122,7 @@ def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     q = B.exp(2j * B.pi * tau)
     zeta = B.exp(2j * B.pi * sigma)
     zinv = 1 / zeta
-    tail, absq = _tail_start(abs(zeta) + abs(zinv * q), q, B)
+    tail, absq = _tail_start(abs(zeta) + abs(zinv * q), q)
     value = B.native(1)
     qk = B.native(1)
     for _ in range(terms):
@@ -206,11 +206,11 @@ def check_main_transform(spec: ProductSpec, h: int, k: int, z,
     terms = default_terms(min(ims))
 
     # the arc phase num / D and the front factor e^{pi i sum(delta)/2}, over 2D
-    num, _ = _arc_phase(spec, h, k)
+    _, num, _ = _arc_kernel(spec, k, (h,))[0]
     D = 3 * spec.L * k
     rhs = _unit(2 * num + sum(spec.delta) * D, 2 * D, B)
     # Delta at h/k is its class value, L Delta an integer
-    dv = B.ratio(_delta_num(spec, h, k), spec.L)
+    dv = B.ratio(_cell_nums(spec, h, k)[0], spec.L)
     lhs = B.native(1)
     try:
         for m, r, d in zip(spec.m, spec.r, spec.delta):

@@ -135,6 +135,21 @@ class TestLeadingProfile:
         with pytest.raises(HypothesisError, match="hypothesis inequality fails"):
             leading_profile(ProductSpec((3, 6), (1, 3), (1, -2)))
 
+    def test_no_admissible_h_at_any_level(self):
+        # the positive classes of this identity product have gcd(kappa, ell)
+        # = 2, so no level has an admissible h: the error of the main sum
+        dead = ProductSpec((4, 2), (1, 1), (2, -1))
+        with pytest.raises(HypothesisError, match="^no major-arc class has an "
+                           "admissible h at any level k$") as exc:
+            leading_profile(dead)
+        assert not isinstance(exc.value, NoMajorArcsError)
+        with pytest.raises(HypothesisError, match="^no major-arc class has an "
+                           "admissible h at any level k$"):
+            asymptotics.g_asymptotic(dead, 10)
+        # without a positive class, the earlier error stands
+        with pytest.raises(NoMajorArcsError):
+            leading_profile(IDENTITY)
+
     def test_constant_positive_profile(self):
         # 1/(q, q^4; q^5): the (0,1,1) amplitude is csc(pi/5)/2, n-independent
         verdict = leading_profile(P5)

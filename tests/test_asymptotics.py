@@ -20,7 +20,7 @@ from qprodasym import (HypothesisError, LogComplex, ProductSpec,
 from qprodasym import analysis, asymptotics
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
-                                   _arc_kernel, _arc_phase, _arc_table,
+                                   _arc_kernel, _arc_table,
                                    _bessel_i1_asym_log, _bessel_i1_series_log,
                                    _class_sums, _level_arcs, _level_terms, _unit)
 from qprodasym.cli import parse_spec
@@ -185,13 +185,13 @@ class TestArcTable:
         # a fresh spec: `spec.arcs` is built once per spec object
         spec = ProductSpec(*mrd)
         calls = []
-        real = asymptotics._delta_num
+        real = asymptotics._cell_nums
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(asymptotics, "_delta_num", counted)
+        monkeypatch.setattr(asymptotics, "_cell_nums", counted)
         classify_arcs(spec)
         assert len(calls) == _sigma(spec.L)
         calls.clear()
@@ -223,7 +223,7 @@ class TestArcTable:
         def refuse(*args):
             raise AssertionError("built a cell")
 
-        monkeypatch.setattr(asymptotics, "_delta_num", refuse)
+        monkeypatch.setattr(asymptotics, "_cell_nums", refuse)
         spec = ProductSpec(*mrd)
         message = (f"L = {L} has sigma(L) = {sigma} divisor cells, more than the "
                    f"limit of {asymptotics._MAX_CELLS}")
@@ -367,6 +367,15 @@ class TestArcDatum:
         with pytest.raises(ValueError):
             arc_datum(TG, 3, 7, hbars=tuple(hb + 1 for hb in base.hbars))
 
+    @pytest.mark.parametrize("h, k", [(0, 0), (-1, 5), (5, 5), (2, 4), (0, 2)])
+    def test_rejects_a_bad_arc_before_the_kernel(self, h, k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran the kernel")
+
+        monkeypatch.setattr(asymptotics, "_arc_kernel", refuse)
+        with pytest.raises(ValueError, match=r"^need 0 <= h < k with gcd\(h, k\) = 1$"):
+            arc_datum(TG, h, k)
+
     def test_runs_the_main_sum_kernel_path(self, monkeypatch):
         # without an override the kernel makes one Euclid pass per distinct
         # modulus (TG has moduli 5, 10, 10), as in the main sum; an explicit
@@ -440,7 +449,7 @@ class TestArcKernel:
             datum = arc_datum(spec, h, k, hbars)
             assert (datum.lambdas, datum.lambda_stars, datum.hbars,
                     datum.phase, datum.pi_exponents) == expected
-            num, pi = _arc_phase(spec, h, k)
+            _, num, pi = _arc_kernel(spec, k, (h,))[0]
             assert Fraction(num, 3 * spec.L * k) == expected[3]
             assert tuple((Fraction(x, den), d) for x, den, d in pi) == expected[4]
             # the same arc inside the kernel of a member that contains it

@@ -102,7 +102,7 @@ class TestArcs:
         # the spec builds one table, and the classes are printed from it
         # without an ArcClass each
         calls = []
-        real = asymptotics._delta_num
+        real = asymptotics._cell_nums
 
         def counted(*args):
             calls.append(args)
@@ -111,7 +111,7 @@ class TestArcs:
         def refuse(*args):
             raise AssertionError("arcs built an ArcClass")
 
-        monkeypatch.setattr(asymptotics, "_delta_num", counted)
+        monkeypatch.setattr(asymptotics, "_cell_nums", counted)
         monkeypatch.setattr(asymptotics, "ArcClass", refuse)
         code, out, _ = run(capsys, "arcs", "7:1:-1", "8:1:-1", "9:1:-1",
                            "--format", "json")

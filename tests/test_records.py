@@ -145,13 +145,17 @@ def test_post_init_normalises_and_validates():
 
 def test_cached_properties_cache_outside_equality():
     spec, fresh = ProductSpec((5,), (1,), (-1,)), ProductSpec((5,), (1,), (-1,))
-    arcs, omega = spec.arcs, spec.omega
+    arcs, omega, L = spec.arcs, spec.omega, spec.L
     assert spec.arcs is arcs and spec.omega is omega
+    assert {f: spec.__dict__[f] for f in ("L", "arcs", "omega")} == {
+        "L": 5, "arcs": arcs, "omega": omega}
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh) == "ProductSpec(m=(5,), r=(1,), delta=(-1,))"
-    twin = pickle.loads(pickle.dumps(spec))
-    assert twin == spec and twin.arcs == arcs and twin.omega == omega
-    assert fresh.omega == omega and fresh.arcs == arcs
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec == fresh and hash(twin) == hash(fresh)
+        assert repr(twin) == repr(fresh)
+        assert twin.arcs == arcs and twin.omega == omega and twin.L == L
+    assert fresh.omega == omega and fresh.arcs == arcs and fresh.L == L
 
 
 def test_methods_and_properties_still_work():

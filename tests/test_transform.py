@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from qprodasym import ModularMatrix, ProductSpec, check_main_transform, chi
 from qprodasym._backend import get_backend
-from qprodasym.asymptotics import _delta_num
+from qprodasym.asymptotics import _cell_nums
 from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
                                  eval_theta, eval_zh_point,
                                  transformed_arguments)
@@ -272,6 +272,6 @@ class TestIntegerTransformData:
                     continue
                 assert (transformed_arguments(spec, h, k, z, precision)
                         == fraction_transformed_arguments(spec, h, k, z, precision))
-                dn = _delta_num(spec, h, k)
+                dn = _cell_nums(spec, h, k)[0]
                 assert Fraction(dn, spec.L) == delta_hk(spec, h, k)
                 assert B.ratio(dn, spec.L) == fraction_real(delta_hk(spec, h, k), B)
