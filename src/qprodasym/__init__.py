@@ -15,11 +15,12 @@ __version__ = "0.1.0"
 _HOME = {
     "arith": ("dedekind_sum", "dedekind_sum_fast", "gcd0", "hbar"),
     "asymptotics": ("ArcClass", "ArcDatum", "HypothesisError", "LogComplex",
-                    "arc_datum", "bessel_I_minus1", "check_assumption",
-                    "classify_arcs", "default_K", "delta_arc", "g_asymptotic",
-                    "g_asymptotic_members", "lambda_int", "lambda_star"),
-    "analysis": ("DominantLevel", "NoMajorArcsError", "ResidueVerdict",
-                 "compare", "dominant_levels", "leading_profile", "sign_check"),
+                    "NoMajorArcsError", "arc_datum", "bessel_I_minus1",
+                    "check_assumption", "classify_arcs", "default_K", "delta_arc",
+                    "g_asymptotic", "g_asymptotic_members", "lambda_int",
+                    "lambda_star"),
+    "analysis": ("DominantLevel", "ResidueVerdict", "compare", "dominant_levels",
+                 "leading_profile", "sign_check"),
     "qseries": ("CoeffSeries", "ProductSpec", "apply_factor", "expand_spec",
                 "oracle_expand", "series_from_json", "series_to_csv",
                 "series_to_json"),

@@ -12,16 +12,12 @@ from itertools import count, groupby, islice
 from operator import itemgetter
 from typing import Sequence
 
-from .asymptotics import (HypothesisError, _class_sums, _level_terms,
-                          _main_sums, _major_classes, _require_assumption,
-                          _tail_groups, _unit)
+from .asymptotics import (NoMajorArcsError, _class_sums, _level_terms,
+                          _live_cells, _main_sums, _major_classes,
+                          _require_assumption, _unit)
 from .qseries import ProductSpec, _Record, expand_spec
 
 VANISH_RATIO = 1e-9
-
-
-class NoMajorArcsError(HypothesisError):
-    """The positive-Delta class set is empty; no dominant term exists."""
 
 
 class DominantLevel(_Record):
@@ -59,7 +55,7 @@ def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
             kappas.setdefault(dn, []).append(kappa)
         walks += [walk(ell, dn, ks) for dn, ks in kappas.items()]
     if not walks:
-        raise NoMajorArcsError("no major arcs: every class has Delta <= 0")
+        raise NoMajorArcsError("no major-arc class: every class has Delta <= 0")
     # merged, the walks enumerate every member by decreasing Delta/k^2
     groups = islice(groupby(heapq.merge(*walks), key=itemgetter(0)), depth)
     return [DominantLevel(-neg, tuple(sorted((kappa, ell, k) for _, ell, k, ks in group
@@ -91,15 +87,15 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     next level is examined, down to `depth` levels; exhausting them yields
     an inconclusive verdict.  Raises HypothesisError where the hypothesis
     inequality fails, as the asymptotic formula does not hold there, and
-    where no major-arc class has an admissible h at any level, as the
-    main sum does.
+    NoMajorArcsError or HypothesisError where no class is positive or
+    none has an admissible h at any level: the main sum's own check,
+    :func:`asymptotics._live_cells`.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     _require_assumption(spec)
+    _live_cells(spec)
     levels = tuple(dominant_levels(spec, depth))
-    if not _tail_groups(spec):
-        raise HypothesisError("no major-arc class has an admissible h at any level k")
     front = _unit(sum(spec.delta), 2)
     for idx, level in enumerate(levels):
         # one kernel pass per (k, ell) of the level; the exact phases and

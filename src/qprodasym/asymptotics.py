@@ -33,6 +33,10 @@ class HypothesisError(ValueError):
     assumption inequality, n out of the admissible range, or no major arcs)."""
 
 
+class NoMajorArcsError(HypothesisError):
+    """The positive-Delta class set is empty; no dominant term exists."""
+
+
 # ---------------------------------------------------------------------------
 # auxiliary arc quantities
 # ---------------------------------------------------------------------------
@@ -149,6 +153,28 @@ def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
     D = math.gcd(ell, spec.L)
     return [(kappa, dn) for c, (dn, _) in enumerate(spec.arcs[D]) if dn > 0
             for kappa in range(c, ell, D)]
+
+
+def _live_cells(spec: ProductSpec) -> dict[int, dict[int, int]]:
+    """{D: {c: L Delta}} over the live major-arc cells (D, c) of
+    `spec.arcs`, those with L Delta > 0 and gcd(c, D) = 1, D increasing.
+
+    Every level k of a class of cell (D, c) has D | k, since D divides
+    ell, L and k = ell (mod L).  So g = gcd(c, D) > 1 divides k and each
+    h = c (mod D): no class of the cell has an admissible h.  A live cell
+    has one at every level, as h -> h mod D maps the units mod k onto the
+    units mod D; at k = D it is the least level, since ell >= D.
+    Raises NoMajorArcsError if no cell is positive and HypothesisError if
+    none is live: either way the main sum has no term.
+    """
+    live = {D: row for D, cells in spec.arcs.items()
+            if (row := {c: dn for c, (dn, _) in enumerate(cells)
+                        if dn > 0 and math.gcd(c, D) == 1})}
+    if not live:
+        if all(dn <= 0 for cells in spec.arcs.values() for dn, _ in cells):
+            raise NoMajorArcsError("no major-arc class: every class has Delta <= 0")
+        raise HypothesisError("no major-arc class has an admissible h at any level k")
+    return live
 
 
 def _classes(spec: ProductSpec) -> Iterator[tuple[int, int, int]]:
@@ -509,8 +535,11 @@ def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> l
 
     A class (kappa, ell) at k sums over the h coprime to k with
     h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
-    D = gcd(ell, L).  The level walks every h of the cells of `kappas`
-    once, increasing within a cell, and runs one :func:`_arc_kernel` pass
+    D = gcd(ell, L).  So only the cells kappa mod D of `kappas` matter: the
+    default main sum passes the residues c < D of its live cells (see
+    :func:`_live_cells`), each a class of its own.  The level walks every
+    h of those cells once, increasing within a cell, and runs one
+    :func:`_arc_kernel` pass
     over them, so the output is integers only: num over 3 L k and the
     factor tuples of Pi.  When D divides k and the cells are closed under
     c -> -c (mod D), the h come in pairs {h, k - h}, and
@@ -603,20 +632,14 @@ def _pi_log_bound(spec: ProductSpec) -> float:
                for m, d in zip(spec.m, spec.delta))
 
 
-def _tail_groups(spec: ProductSpec) -> list[tuple[float, int]]:
-    """(Delta, least D) per Delta of the live major-arc cells (D, c) of
-    `spec.arcs`, those with gcd(c, D) = 1.
-
-    In any other cell g = gcd(c, D) > 1 divides kappa, ell and L for each
-    class, so it divides every level k = ell (mod L) and every
-    h = kappa (mod ell): the class never has an admissible h.  A class of
-    cell (D, c) has ell >= D, and so have its levels.
-    """
+def _tail_groups(spec: ProductSpec, live: dict[int, dict[int, int]]) -> list[tuple[float, int]]:
+    """(Delta, least D) per Delta of the :func:`_live_cells` `live`; the
+    other cells never have an admissible h.  A class of cell (D, c) has
+    ell >= D, and so have its levels."""
     least: dict[int, int] = {}
-    for D, cells in spec.arcs.items():         # D increasing
-        for c, (dn, _) in enumerate(cells):
-            if dn > 0 and math.gcd(c, D) == 1:
-                least.setdefault(dn, D)
+    for D, cells in live.items():              # D increasing
+        for dn in cells.values():
+            least.setdefault(dn, D)
     return [(dn / spec.L, D) for dn, D in least.items()]
 
 
@@ -646,17 +669,21 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
     Without `members`, the sum at n runs over every major-arc class and
     every level k <= K(n) congruent to the class level mod L, with K(n)
     = K >= 1 or :func:`default_K`; with them, over those (kappa, ell, k)
-    at every n.  Every n, the hypothesis inequality and then each member
-    are checked before anything is summed.  Classes with
-    gcd(kappa, ell, k) > 1 have no admissible h and are skipped.  If some
-    K(n) stops below the first level with a member, the sum is empty and
-    ValueError names that level.
+    at every n.  Every n, the hypothesis inequality, the live cells
+    (:func:`_live_cells`, which raises when there are none) and then each
+    member are checked before anything is summed.  If some K(n) stops
+    below the first level with a term, the sum is empty and ValueError
+    names that level.
 
-    Both forms give the levels as ((k, ell), [(kappa, L Delta)]): without
-    `members` they are generated one at a time, upward from the first,
-    and every level is visited, with or without classes; with them, they
-    are the members grouped by level.  With the default K(n), the sum at
-    n stops at a checkpoint k = 2 first, 4 first, ... once
+    Both forms give the levels as (k, kappas), with ell = (k - 1) mod L + 1
+    and D = gcd(k, L) = gcd(ell, L).  Without `members` they are generated
+    one at a time, upward from the first, the least D with a live cell,
+    and every level is visited, with or without classes; `kappas` are the
+    residues c < D of the live cells of D, and every class the level pass
+    finds in them is summed.  With them, they are the members grouped by
+    level, and only the members are summed, each as often as listed.  Each
+    class takes its L Delta from its live cell.  With the default K(n),
+    the sum at n stops at a checkpoint k = 2 first, 4 first, ... once
     :func:`_tail_bound` of the levels it has left is below 2^-60 times its
     largest term, so it differs from the sum up to K(n) by at most that
     bound.  An explicit K or `members` sums every level.
@@ -675,45 +702,29 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         if n <= bound:
             raise HypothesisError(f"n = {n} violates n > -Omega/24 = {bound}")
     _require_assumption(spec)
+    live = _live_cells(spec)
     L = spec.L
-    stops = K is None and members is None       # the error budget applies
     if members is None:
         Ks = [K or default_K(spec, n) for n in ns]
-        positive: dict[int, list[tuple[int, int]]] = {}     # ell -> _major_classes
-
-        def level(k):
-            """((k, ell), the (kappa, L Delta) of the members at level k)."""
-            ell = (k - 1) % L + 1
-            classes = positive.get(ell)
-            if classes is None:
-                classes = positive[ell] = _major_classes(spec, ell)
-            g = math.gcd(ell, k)
-            return (k, ell), [(kappa, dn) for kappa, dn in classes if math.gcd(kappa, g) == 1]
-
-        # a class with a member at k = ell + jL has one at k = ell + L,
-        # since gcd(ell, L) divides gcd(ell, ell + jL): look up to 2L
-        first = next((k for k in range(1, 2 * L + 1) if level(k)[1]), None)
-        if first is None:
-            raise HypothesisError("no major-arc class has an admissible h at any level k")
+        first = min(live)
         short = next((Kn for Kn in Ks if Kn < first), None)
         if short is not None:
             raise ValueError(f"the main sum is empty for K = {short}: "
                              f"its first term is at level k = {first}")
-        if stops:
-            groups, log_b = _tail_groups(spec), _pi_log_bound(spec)
-        levels = lambda: map(level, count(first))
+        groups, log_b = _tail_groups(spec, live), _pi_log_bound(spec)
+        # gcd(ell, L) = gcd(k, L), as k = ell (mod L)
+        levels = lambda: ((k, live.get(math.gcd(k, L))) for k in count(first))
     else:
         Ks = [math.inf] * len(ns)
-        grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        grouped: dict[int, list[int]] = {}              # k -> kappas
         for kappa, ell, k in members:
             if not (0 <= kappa < ell <= L and k >= 1 and (k - ell) % L == 0):
                 raise ValueError(f"member {(kappa, ell, k)} needs 0 <= kappa < ell <= "
                                  f"L = {L}, k >= 1 and k = ell (mod L)")
             D = math.gcd(ell, L)
-            dn = spec.arcs[D][kappa % D][0]
-            if dn <= 0:
+            if spec.arcs[D][kappa % D][0] <= 0:
                 raise ValueError(f"class ({kappa}, {ell}) is not a major-arc class")
-            grouped.setdefault((k, ell), []).append((kappa, dn))
+            grouped.setdefault(k, []).append(kappa)
         levels = grouped.items
     front = LogComplex.from_complex(_unit(sum(spec.delta), 2))
     out = []
@@ -722,21 +733,25 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
         # row whose omitted levels are within budget
         block = [[n, Kn, float(24 * n + spec.omega), []]
                  for n, Kn in zip(ns[b:b + _BLOCK], Ks[b:b + _BLOCK])]
-        check = 2 * first if stops else 0           # 0: no checkpoint
-        for (k, ell), classes in levels():
+        # checkpoints for the error budget, default K only; 0: none
+        check = 2 * first if K is None and members is None else 0
+        for k, kappas in levels():
             if all(row[1] < k for row in block):
                 break
-            if classes:
-                arcs = _level_terms(spec, k, ell, [kappa for kappa, _ in classes])
+            if kappas:
+                ell, D = (k - 1) % L + 1, math.gcd(k, L)
+                cells = live.get(D)
+                arcs = _level_terms(spec, k, ell, kappas)
                 for n, Kn, w, terms in block:
                     if k > Kn:
                         continue
                     sums = _class_sums(spec, n, k, ell, arcs)
                     bessels: dict[int, tuple[float, float]] = {}
-                    for kappa, dn in classes:
+                    for kappa in sums if members is None else kappas:
                         hs = sums.get(kappa, 0)
                         if hs == 0:
                             continue
+                        dn = cells[kappa % D]
                         factor = bessels.get(dn)
                         if factor is None:
                             dv = dn / L
@@ -762,7 +777,8 @@ def g_asymptotic_members(spec: ProductSpec, n: int,
 
     `members` is iterated once.  Each (kappa, ell, k) must have
     0 <= kappa < ell <= L, k >= 1 and k = ell (mod L), and (kappa, ell)
-    must be a major-arc class; both are checked after both hypotheses.
+    must be a major-arc class; both are checked after both hypotheses and
+    after the check that some class has an admissible h.
     See :func:`_main_sums`.
     """
     return _main_sums(spec, [n], members=list(members))[0]
@@ -774,11 +790,10 @@ def g_asymptotic(spec: ProductSpec, n: int, K: int | None = None) -> LogComplex:
     Sums over every major-arc class and every k <= K congruent to the
     class level mod L, with K >= 1 defaulting to :func:`default_K`.  The
     result is a LogComplex whose imaginary part is pure numerical noise.
-    The hypothesis inequality is checked on `spec.arcs` before the
-    members of each level k, the classes in its positive cells, are
-    generated from it.  Classes with gcd(kappa, ell, k) > 1 have no
-    admissible h and are skipped.  If no level k <= K has a member, the
-    sum is empty and ValueError names the first k that has one.  With the
+    The hypothesis inequality is checked on `spec.arcs` before each level
+    k sums the classes found in its live cells (:func:`_live_cells`); the
+    other classes have no admissible h.  If no level k <= K has a term,
+    the sum is empty and ValueError names the first k that has one.  With the
     default K, the levels whose terms are bounded by 2^-60 of the largest
     one are left out (see :func:`_main_sums`); an explicit K sums them all.
     """

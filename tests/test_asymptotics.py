@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qprodasym import (HypothesisError, LogComplex, ProductSpec,
+from qprodasym import (HypothesisError, LogComplex, NoMajorArcsError, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
                        classify_arcs, default_K, delta_arc, expand_spec,
                        g_asymptotic, lambda_int, lambda_star)
@@ -22,7 +22,8 @@ from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
                                    _arc_kernel, _arc_table,
                                    _bessel_i1_asym_log, _bessel_i1_series_log,
-                                   _class_sums, _level_arcs, _level_terms, _unit)
+                                   _class_sums, _classes, _level_arcs,
+                                   _level_terms, _live_cells, _tail_groups, _unit)
 from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
@@ -709,6 +710,85 @@ class TestKernelInvariants:
         assert {f for f in tuples if tuples.count(f) > 1} == {()}
 
 
+def _live_specs():
+    """The named specs of the tests, all with L <= 60 (one without an
+    admissible h, two without a positive class, one failing the
+    hypothesis), and 30 distinct seeded random specs with L <= 60 that
+    pass the hypothesis."""
+    # the oneshot specs hold P5, RR and TG
+    named = [*(parse_spec(text.split()) for text in ONESHOT_ASYM),
+             ProductSpec((5,), (4,), (2,)), ProductSpec((4, 2), (1, 1), (2, -1)),
+             ProductSpec((2, 2), (1, 1), (1, -1)), ProductSpec((3, 3), (1, 1), (1, -1)),
+             ProductSpec((3, 6), (1, 3), (1, -2))]
+    rng = random.Random(2503)
+    drawn = []
+    while len(drawn) < 30:
+        spec = random_spec(rng, max_j=3, max_m=12)
+        if spec.L <= 60 and spec not in drawn and check_assumption(spec)[0]:
+            drawn.append(spec)
+    return named + drawn
+
+
+class TestLiveCells:
+    """The live cells of `spec.arcs` against the full enumeration: the
+    classes of `_classes` with an admissible h, found by walking the h of
+    `coprime_residues` at every level."""
+
+    @staticmethod
+    def _admissible(spec, k):
+        """The major-arc classes kappa of level k with an admissible h."""
+        ell = (k - 1) % spec.L + 1
+        return {kappa for kappa, el, dn in _classes(spec) if el == ell and dn > 0
+                and next(coprime_residues(k, kappa, ell), None) is not None}
+
+    @pytest.mark.parametrize("spec", _live_specs(), ids=str)
+    def test_matches_enumeration(self, spec):
+        L = spec.L
+        first = next((k for k in range(1, 2 * L + 1) if self._admissible(spec, k)), None)
+        if first is None:
+            error = (NoMajorArcsError if all(dn <= 0 for *_, dn in _classes(spec))
+                     else HypothesisError)
+            with pytest.raises(error) as exc:
+                _live_cells(spec)
+            assert type(exc.value) is error
+            return
+        live = _live_cells(spec)
+        assert min(live) == first
+        # the least level of each Delta, as the tail bound reads it
+        least = {}
+        for k in range(1, L + 1):
+            for kappa in sorted(self._admissible(spec, k)):
+                least.setdefault(delta_arc(spec, kappa, k), k)
+        assert {Fraction(dv).limit_denominator(L): D
+                for dv, D in _tail_groups(spec, live)} == least
+        for k in range(1, 3 * L + 1):
+            ell = (k - 1) % L + 1
+            cells = live.get(math.gcd(k, L), {})
+            sums = _class_sums(spec, 1, k, ell, _level_terms(spec, k, ell, cells))
+            assert set(sums) == self._admissible(spec, k)
+        if check_assumption(spec)[0] and first > 1:
+            with pytest.raises(ValueError, match=f"its first term is at level k = {first}$"):
+                g_asymptotic(spec, 100, first - 1)
+
+    def test_main_sum_reads_no_class_list(self, monkeypatch):
+        # the main sum takes its classes from the live cells, never from
+        # the per-level class lists of `_major_classes`
+        def refuse(*args):
+            raise AssertionError("the main sum listed the classes of a level")
+
+        want = [_bits(g_asymptotic(spec, 1000, K)) for spec in (P5, RR, TG)
+                for K in (None, 17)]
+        monkeypatch.setattr(asymptotics, "_major_classes", refuse)
+        assert [_bits(g_asymptotic(spec, 1000, K)) for spec in (P5, RR, TG)
+                for K in (None, 17)] == want
+        for spec in (ProductSpec((4, 2), (1, 1), (2, -1)),
+                     ProductSpec((3, 3), (1, 1), (1, -1))):
+            with pytest.raises(HypothesisError, match="^no major-arc class"):
+                g_asymptotic(spec, 50)
+            with pytest.raises(HypothesisError, match="^no major-arc class"):
+                analysis.leading_profile(spec)
+
+
 class TestFloatMainSum:
     """g_asymptotic equals the LogComplex accumulation over every member of
     the positive cells (dead classes included), float for float."""
@@ -744,7 +824,8 @@ class TestFloatMainSum:
 
     def test_one_logcomplex_per_bessel_factor(self, monkeypatch):
         # at 60:5:-1, n = 2610 the LogComplex form built 2,769 objects and
-        # listed 882 members without an admissible h
+        # listed 882 members without an admissible h; the default path
+        # lists only the live cells c < D, gcd(c, D) = 1 and Delta > 0
         spec = ProductSpec((60,), (5,), (-1,))
         made, listed = [], []
         init = LogComplex.__init__
@@ -764,7 +845,10 @@ class TestFloatMainSum:
         monkeypatch.setattr(asymptotics, "_level_terms", recorded)
         asymptotics.g_asymptotic(spec, 2610)
         monkeypatch.undo()
-        assert listed and all(math.gcd(*m) == 1 for m in listed)
+        assert listed
+        for c, ell, k in listed:
+            D = math.gcd(ell, spec.L)
+            assert c < D and math.gcd(c, D) == 1 and delta_arc(spec, c, ell) > 0
         factors = {(delta_arc(spec, kappa, ell), k) for kappa, ell, k in listed}
         assert len(made) <= len(factors) + 4
 
