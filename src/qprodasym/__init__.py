@@ -13,19 +13,17 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {
-    "arith": ("dedekind_sum", "dedekind_sum_fast", "gcd0", "hbar"),
+    "arith": ("dedekind_sum_fast", "gcd0", "hbar"),
     "asymptotics": ("ArcClass", "ArcDatum", "HypothesisError", "LogComplex",
                     "NoMajorArcsError", "arc_datum", "bessel_I_minus1",
-                    "check_assumption", "classify_arcs", "default_K", "delta_arc",
+                    "check_assumption", "classify_arcs", "default_K",
                     "g_asymptotic", "g_asymptotic_members", "lambda_int",
                     "lambda_star"),
     "analysis": ("DominantLevel", "ResidueVerdict", "compare", "dominant_levels",
                  "leading_profile", "sign_check"),
-    "qseries": ("CoeffSeries", "ProductSpec", "apply_factor", "expand_spec",
-                "oracle_expand", "series_from_json", "series_to_csv",
-                "series_to_json"),
-    "transform": ("ModularMatrix", "check_main_transform", "chi", "eval_Zh",
-                  "eval_eta", "eval_theta"),
+    "qseries": ("CoeffSeries", "ProductSpec", "expand_spec", "oracle_expand",
+                "series_to_csv", "series_to_json"),
+    "transform": ("check_main_transform", "eval_Zh"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 

@@ -4,10 +4,9 @@ Everything here is computed in exact arithmetic (Python integers and
 ``fractions.Fraction``); no floating point enters this module.  The
 phase bookkeeping of the main sum needs a modular inverse and the integer
 6c s(d, c) per arc factor; :func:`inverse_dedekind6` gives both from one
-Euclid pass, so no ``Fraction`` is built; the eta multiplier of
-:mod:`transform` uses the same pass.  :func:`dedekind_sum_fast` has no
-caller in the package: it stays as public API and as the middle of the
-oracle chain :func:`dedekind_sum` -> :func:`dedekind_sum_fast` ->
+Euclid pass, so no ``Fraction`` is built.  :func:`dedekind_sum_fast` has
+no caller in the package: it stays as public API and as the middle of the
+oracle chain from the direct O(c) sawtooth sum of the tests to
 :func:`inverse_dedekind6`.
 """
 
@@ -47,32 +46,10 @@ def hbar(m: int, h: int, k: int) -> int:
     return (-pow(a, -1, kp)) % kp
 
 
-def sawtooth(x: Fraction) -> Fraction:
-    """The sawtooth ((x)): x - floor(x) - 1/2 off the integers, 0 on them."""
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
-
-
-def dedekind_sum(d: int, c: int) -> Fraction:
-    """Dedekind sum s(d, c) by the direct O(c) sawtooth sum.
-
-    Requires c >= 1 and gcd(d, c) = 1.
-    """
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    if math.gcd(d, c) != 1:
-        raise ValueError("need gcd(d, c) = 1")
-    total = Fraction(0)
-    for n in range(1, c):
-        total += sawtooth(Fraction(d * n, c)) * sawtooth(Fraction(n, c))
-    return total
-
-
 def dedekind_sum_fast(d: int, c: int) -> Fraction:
     """Dedekind sum s(d, c) via the reciprocity recursion, O(log c).
 
-    Agrees exactly with :func:`dedekind_sum`; uses
+    Agrees exactly with the direct O(c) sawtooth sum; uses
     s(d, c) + s(c, d) = -1/4 + (d^2 + c^2 + 1)/(12 c d)
     together with periodicity s(d + c, c) = s(d, c).
     """

@@ -57,10 +57,11 @@ def _cell_nums(spec: ProductSpec, kappa: int, ell: int) -> tuple[int, int]:
     """(L Delta(kappa, ell), L bound(kappa, ell)), integers.
 
     With g = gcd(m_j, ell) and a = g lambda*_j = (-r_j kappa) mod g, the
-    j-th term of Delta is the integer 2 g^2 + 12 a (a - g) over m_j (see
-    :func:`delta_arc`), and bound = min_j Upsilon(lambda*_j) g^2 / m_j,
-    whose j-th value is g^2 / m_j at a = 0 and g min(a, g - a) / m_j
-    otherwise.  m_j divides L, so both times L are integers.
+    j-th term of the arc exponent Delta = -sum_j delta_j (2 g^2 + 12 g^2
+    (lambda*_j^2 - lambda*_j)) / m_j is the integer 2 g^2 + 12 a (a - g)
+    over m_j, and bound = min_j Upsilon(lambda*_j) g^2 / m_j, whose j-th
+    value is g^2 / m_j at a = 0 and g min(a, g - a) / m_j otherwise.
+    m_j divides L, so both times L are integers.
     """
     L = spec.L
     delta, bounds = 0, []
@@ -71,18 +72,6 @@ def _cell_nums(spec: ProductSpec, kappa: int, ell: int) -> tuple[int, int]:
         delta -= d * q * (2 * g * g + 12 * a * (a - g))
         bounds.append(q * g * (min(a, g - a) if a else g))
     return delta, min(bounds)
-
-
-def delta_arc(spec: ProductSpec, kappa: int, ell: int) -> Fraction:
-    """Exact arc exponent Delta(kappa, ell); positive on major arcs.
-
-    Delta = -sum_j delta_j (2 g^2 + 12 g^2 (lambda*^2 - lambda*)) / m_j with
-    g = gcd(m_j, ell).  Since g lambda*_j = (-r_j kappa) mod g = a, each
-    term is the integer 2 g^2 + 12 a (a - g) over m_j, a divisor of L.
-    """
-    if not 0 <= kappa < ell:
-        raise ValueError("need 0 <= kappa < ell")
-    return Fraction(_cell_nums(spec, kappa, ell)[0], spec.L)
 
 
 class ArcClass(_Record):

@@ -16,7 +16,8 @@ coefficients, rounded up to whole bytes.  Negative powers then divide the
 unpacked coefficient list, still O(N sqrt(N/m)) per unit, but as C-level
 `zip`, `sum` and `list.extend` over one iterator per exponent that reads
 the quotient as `extend` writes it.  Both replace O(N^2/m) per unit for
-applying every binomial (1 - q^e) in turn.
+applying every binomial (1 - q^e) in turn, the route the tests keep as a
+second oracle.
 """
 
 from __future__ import annotations
@@ -168,24 +169,6 @@ class CoeffSeries(_Record):
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-def apply_factor(series: CoeffSeries, t: int, direction: str = "multiply") -> CoeffSeries:
-    """Multiply or divide a series by (1 - q^t), truncation order unchanged."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    c = list(series.coeffs)
-    if direction == "multiply":
-        # c[n] -= c[n - t], top-down so c[n - t] is still the old value
-        for n in range(len(c) - 1, t - 1, -1):
-            c[n] -= c[n - t]
-    elif direction == "divide":
-        # prefix sum with stride t
-        for n in range(t, len(c)):
-            c[n] += c[n - t]
-    else:
-        raise ValueError("direction must be 'multiply' or 'divide'")
-    return CoeffSeries(c)
 
 
 def _theta_terms(m: int, r: int, N: int) -> list[tuple[int, int]]:
@@ -414,11 +397,3 @@ def series_to_json(series: CoeffSeries) -> str:
         "coefficients": [str(g) for g in series.coeffs],
     }
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
-
-
-def series_from_json(text: str) -> CoeffSeries:
-    doc = json.loads(text)
-    coeffs = [int(s) for s in doc["coefficients"]]
-    if len(coeffs) != doc["truncation_order"] + 1:
-        raise ValueError("inconsistent JSON series document")
-    return CoeffSeries(coeffs)

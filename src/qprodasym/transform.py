@@ -1,5 +1,5 @@
-"""Numeric evaluation of eta, theta and the shifted Pochhammer quotient,
-plus the matrix machinery used to verify the arc transformation formula.
+"""Numeric evaluation of the shifted Pochhammer quotient and the check of
+the arc transformation formula on it.
 
 The identities checked here are exact; any test tolerance exists only to
 absorb truncation and rounding of the evaluations themselves.
@@ -10,30 +10,11 @@ from __future__ import annotations
 import math
 
 from ._backend import get_backend
-from .arith import gcd0, hbar, inverse_dedekind6
+from .arith import gcd0, hbar
 from .asymptotics import lambda_int, _arc_kernel, _cell_nums, _unit
-from .qseries import ProductSpec, _Record
+from .qseries import ProductSpec
 
 _MAX_TERMS = 200_000
-
-
-class ModularMatrix(_Record):
-    """An SL2(Z) matrix (a, b; c, d); transformations assume c > 0."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
-
-    def mobius(self, tau):
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    def mobius_star(self, tau):
-        return 1 / (self.c * tau + self.d)
 
 
 def default_terms(min_im: float) -> int:
@@ -64,47 +45,6 @@ def _require_tail(tail, absq, terms: int, B) -> None:
                      f"{float(B.eps):.0e}, more than the cap of {terms}")
 
 
-def eval_eta(tau, terms: int, precision: str = "double"):
-    """Dedekind eta: q^{1/24} prod_{k>=1} (1 - q^k), q = e^{2 pi i tau}.
-
-    The product stops once the tail bound |q|^k / (1 - |q|) falls below
-    the backend's eps; `terms` caps the factors, and a ValueError names
-    the count needed when the cap is too small.
-    """
-    B = get_backend(precision)
-    tau = B.native(tau)
-    if not tau.imag > 0:
-        raise ValueError("tau must lie in the upper half plane")
-    q = B.exp(2j * B.pi * tau)
-    value = B.exp(2j * B.pi * tau / 24)
-    tail, absq = _tail_start(abs(q), q)
-    qk = q
-    for _ in range(terms):
-        if tail < B.eps:
-            return value
-        value *= 1 - qk
-        qk *= q
-        tail *= absq
-    _require_tail(tail, absq, terms, B)
-    return value
-
-
-def eval_theta(sigma, tau, terms: int, precision: str = "double"):
-    """Half-integer-index theta sum over nu = +-1/2, +-3/2, ..., |nu| <= terms + 1/2."""
-    B = get_backend(precision)
-    sigma = B.native(sigma)
-    tau = B.native(tau)
-    if not tau.imag > 0:
-        raise ValueError("tau must lie in the upper half plane")
-    total = B.native(0)
-    half = B.ratio(1, 2)
-    for t in range(terms + 1):
-        for nu in (t + half, -(t + half)):
-            total += B.exp(2j * B.pi * nu * (sigma + half)
-                           + 1j * B.pi * nu * nu * tau)
-    return total
-
-
 def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     """(zeta, zeta^{-1} q; q)_inf with zeta = e^{2 pi i sigma}, q = e^{2 pi i tau}.
 
@@ -123,12 +63,12 @@ def eval_zh_point(sigma, tau, terms: int, precision: str = "double"):
     zeta = B.exp(2j * B.pi * sigma)
     zinv = 1 / zeta
     tail, absq = _tail_start(abs(zeta) + abs(zinv * q), q)
-    value = B.native(1)
-    qk = B.native(1)
+    eps, one = B.eps, B.native(1)
+    value = qk = one
     for _ in range(terms):
-        if tail < B.eps:
+        if tail < eps:
             return value
-        value *= (1 - zeta * qk) * (1 - zinv * qk * q)
+        value *= (one - zeta * qk) * (one - zinv * qk * q)
         qk *= q
         tail *= absq
     _require_tail(tail, absq, terms, B)
@@ -140,21 +80,6 @@ def eval_Zh(r: int, m: int, tau, terms: int, precision: str = "double"):
     if not 1 <= r < m:
         raise ValueError("need 1 <= r < m")
     return eval_zh_point(r * tau, m * tau, terms, precision)
-
-
-def chi(gamma: ModularMatrix, precision: str = "double"):
-    """The eta multiplier e^{pi i ((a+d)/12c - s(d,c) - 1/4)} for c > 0.
-
-    With S = 6c s(d, c) from the Euclid pass of
-    :func:`arith.inverse_dedekind6`, the one the main sum uses, the
-    exponent is the integer (a + d - 2S - 3c) over 12c, reduced mod 2
-    before exponentiation.
-    """
-    if gamma.c <= 0:
-        raise ValueError("need c > 0")
-    S = inverse_dedekind6(gamma.d, gamma.c)[1]
-    return _unit(gamma.a + gamma.d - 2 * S - 3 * gamma.c, 12 * gamma.c,
-                 get_backend(precision))
 
 
 def transformed_arguments(spec: ProductSpec, h: int, k: int, z, precision: str = "double"):

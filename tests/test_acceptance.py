@@ -12,17 +12,17 @@ import time
 from fractions import Fraction
 
 from qprodasym import (arc_datum, bessel_I_minus1, check_assumption,
-                       check_main_transform, chi, classify_arcs, compare,
+                       check_main_transform, classify_arcs, compare,
                        dominant_levels, expand_spec, g_asymptotic,
                        g_asymptotic_members, leading_profile,
                        oracle_expand, sign_check)
-from qprodasym.arith import dedekind_sum, dedekind_sum_fast, gcd0
+from qprodasym.arith import dedekind_sum_fast, gcd0
 from qprodasym.asymptotics import _bessel_i1_asym_log, _bessel_i1_series_log
-from qprodasym.transform import (ModularMatrix, default_terms,
-                                 eval_eta, eval_theta, eval_zh_point)
-from qprodasym.asymptotics import delta_arc
+from qprodasym.transform import default_terms, eval_zh_point
 
 from conftest import P5, RR, TG, delta_hk, random_farey, random_spec
+from oracles import (ModularMatrix, chi, dedekind_sum, delta_arc, eval_eta,
+                     eval_theta)
 
 BENCHMARKS = (P5, RR, TG)
 

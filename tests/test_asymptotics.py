@@ -15,8 +15,8 @@ import pytest
 
 from qprodasym import (HypothesisError, LogComplex, NoMajorArcsError, ProductSpec,
                        arc_datum, bessel_I_minus1, check_assumption,
-                       classify_arcs, default_K, delta_arc, expand_spec,
-                       g_asymptotic, lambda_int, lambda_star)
+                       classify_arcs, default_K, expand_spec, g_asymptotic,
+                       lambda_int, lambda_star)
 from qprodasym import analysis, asymptotics
 from qprodasym.arith import coprime_residues, dedekind_sum_fast, gcd0, hbar
 from qprodasym.asymptotics import (g_asymptotic_members, logc_sum,
@@ -28,6 +28,7 @@ from qprodasym.cli import parse_spec
 
 from conftest import (P5, RR, TG, delta_hk, h_sum, logcomplex_main_sum,
                       member_kernel, random_farey, random_spec, upsilon)
+from oracles import delta_arc
 
 # expected positive-class (major-arc) lists for the three benchmark specs
 P5_POSITIVE = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),

@@ -1,30 +1,34 @@
-"""The package namespace loads each submodule on first use.
+"""The package namespace loads each submodule on first use, and exports
+only names that the package or the benchmark harness runs.
 
-Every case runs in a fresh interpreter and compares ``sys.modules``
-before and after inside that process, so what ``site`` and pytest have
-already imported does not count.
+Every import case runs in a fresh interpreter and compares
+``sys.modules`` before and after inside that process, so what ``site``
+and pytest have already imported does not count.
 """
 
+import ast
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import qprodasym
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 # the public names, fixed: a lazy namespace must not lose or add one
 NAMES = {
     "ArcClass", "ArcDatum", "CoeffSeries", "DominantLevel", "HypothesisError",
-    "LogComplex", "ModularMatrix", "NoMajorArcsError", "ProductSpec",
-    "ResidueVerdict", "apply_factor", "arc_datum", "bessel_I_minus1",
-    "check_assumption", "check_main_transform", "chi", "classify_arcs",
-    "compare", "dedekind_sum", "dedekind_sum_fast", "default_K", "delta_arc",
-    "dominant_levels", "eval_Zh", "eval_eta", "eval_theta", "expand_spec",
-    "g_asymptotic", "g_asymptotic_members", "gcd0", "hbar", "lambda_int",
-    "lambda_star", "leading_profile", "oracle_expand", "series_from_json",
-    "series_to_csv", "series_to_json", "sign_check",
+    "LogComplex", "NoMajorArcsError", "ProductSpec", "ResidueVerdict",
+    "arc_datum", "bessel_I_minus1", "check_assumption", "check_main_transform",
+    "classify_arcs", "compare", "dedekind_sum_fast", "default_K",
+    "dominant_levels", "eval_Zh", "expand_spec", "g_asymptotic",
+    "g_asymptotic_members", "gcd0", "hbar", "lambda_int", "lambda_star",
+    "leading_profile", "oracle_expand", "series_to_csv", "series_to_json",
+    "sign_check",
 }
 
 # loaded by no session: the records need neither
@@ -107,6 +111,72 @@ print(json.dumps({"homes": homes, "all": qprodasym.__all__, "dir": dir(qprodasym
     assert set(doc["all"]) == NAMES
     assert len(doc["all"]) == len(NAMES)
     assert NAMES <= set(doc["dir"])
+
+
+def _annotation_nodes(tree):
+    """The nodes of every annotation in `tree`: under ``from __future__
+    import annotations`` none of them is evaluated."""
+    nodes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            note = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            note = node.annotation
+        else:
+            continue
+        if note is not None:
+            nodes.update(map(id, ast.walk(note)))
+    return nodes
+
+
+def _loads(node, skip, scopes=()):
+    """Yield (identifier, names of the enclosing defs and classes) for each
+    loaded Name, loaded Attribute and import alias under `node`."""
+    if id(node) in skip:
+        return
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        yield (node.id if isinstance(node, ast.Name) else node.attr), scopes
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1], scopes
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scopes += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, skip, scopes)
+
+
+def _docstrings(tree):
+    """The module, class and function docstring nodes of `tree`."""
+    nodes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                nodes.add(id(first.value))
+    return nodes
+
+
+def test_every_public_name_is_run_by_the_package_or_the_harness():
+    """A public name is loaded by package code outside its own def or
+    class, or is named in the benchmark harness: by a load, an import, or
+    a dotted string such as ``"asymptotics.arc_datum"`` that is not a
+    docstring.  Test oracles live in tests/oracles.py, not in the package."""
+    used = set()
+    for path in sorted((ROOT / "src" / "qprodasym").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= {name for name, scopes in _loads(tree, _annotation_nodes(tree))
+                 if name not in scopes}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= {name for name, _ in _loads(tree, set())}
+        docs = _docstrings(tree)
+        used |= {part for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and id(node) not in docs
+                 for part in node.value.split(".")}
+    assert sorted(set(qprodasym.__all__) - used) == []
 
 
 def test_unknown_name_raises_and_submodules_still_import():

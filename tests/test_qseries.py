@@ -9,12 +9,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qprodasym import (CoeffSeries, ProductSpec, apply_factor, expand_spec,
-                       oracle_expand, series_from_json, series_to_csv,
-                       series_to_json)
+from qprodasym import (CoeffSeries, ProductSpec, expand_spec, oracle_expand,
+                       series_to_csv, series_to_json)
 from qprodasym.qseries import _pochhammer_poly, _poly_mul, _theta_terms
 
 from conftest import P5, RR, TG, random_spec
+from oracles import apply_factor, series_from_json
 
 
 def _dense(terms, N):

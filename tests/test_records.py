@@ -1,4 +1,5 @@
-"""The ten public records behave as immutable value classes.
+"""The nine public records, and the tests' ``ModularMatrix`` built on the
+same base, behave as immutable value classes.
 
 Each is built positionally and by keyword, refuses assignment and
 deletion, compares and hashes as the tuple of its fields (and never
@@ -16,7 +17,8 @@ import pytest
 from qprodasym.analysis import CompareRow, DominantLevel, ResidueScan, ResidueVerdict
 from qprodasym.asymptotics import ArcClass, ArcDatum, LogComplex
 from qprodasym.qseries import CoeffSeries, ProductSpec
-from qprodasym.transform import ModularMatrix
+
+from oracles import ModularMatrix
 
 LEVEL = DominantLevel(Fraction(24, 125), ((2, 5, 5), (3, 5, 5)))
 

@@ -12,15 +12,15 @@ import pytest
 
 from fractions import Fraction
 
-from qprodasym import ModularMatrix, ProductSpec, check_main_transform, chi
+from qprodasym import ProductSpec, check_main_transform
 from qprodasym._backend import get_backend
 from qprodasym.asymptotics import _cell_nums
-from qprodasym.transform import (default_terms, eval_Zh, eval_eta,
-                                 eval_theta, eval_zh_point,
+from qprodasym.transform import (default_terms, eval_Zh, eval_zh_point,
                                  transformed_arguments)
 
 from conftest import (P5, RR, TG, delta_hk, fraction_real,
                       fraction_transformed_arguments, random_farey, random_spec)
+from oracles import ModularMatrix, chi, eval_eta, eval_theta
 
 
 def _rel(a, b):

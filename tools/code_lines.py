@@ -1,9 +1,11 @@
-"""Count the code lines of the package: lines of src/qprodasym/*.py that
-hold a token other than a comment, a line break, an indent or a dedent,
-leaving out module, class and function docstrings.
+"""Count code lines: lines of Python source that hold a token other than
+a comment, a line break, an indent or a dedent, leaving out module, class
+and function docstrings.
 
-Run from anywhere: python tools/code_lines.py
-Prints the count per file, largest first, then the total.
+Run from anywhere: python tools/code_lines.py [PATH ...]
+Each PATH is a .py file or a directory, whose *.py files are counted; with
+no PATH the package src/qprodasym is counted.  Prints the count per file,
+largest first, then the total.
 """
 
 import ast
@@ -39,14 +41,20 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> int:
-    counts = {path.name: code_lines(path.read_text())
-              for path in sorted(PACKAGE.glob("*.py"))}
-    for name, n in sorted(counts.items(), key=lambda item: -item[1]):
+def main(args: list[str]) -> int:
+    counts = []
+    for arg in args or [PACKAGE]:
+        path = Path(arg)
+        if path.is_dir():
+            counts += [(file.name, code_lines(file.read_text()))
+                       for file in sorted(path.glob("*.py"))]
+        else:
+            counts.append((str(arg), code_lines(path.read_text())))
+    for name, n in sorted(counts, key=lambda item: -item[1]):
         print(f"{n:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
+    print(f"{sum(n for _, n in counts):6d}  total")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
