@@ -13,8 +13,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .asymptotics import (NoMajorArcsError, _class_sums, _level_terms,
-                          _live_cells, _main_sums, _major_classes,
-                          _require_assumption, _unit)
+                          _live_cells, _main_sums, _require_assumption, _unit)
 from .qseries import ProductSpec, _Record, expand_spec
 
 VANISH_RATIO = 1e-9
@@ -34,33 +33,40 @@ class DominantLevel(_Record):
 def dominant_levels(spec: ProductSpec, depth: int) -> list[DominantLevel]:
     """The `depth` largest distinct values of sqrt(Delta)/k over major arcs.
 
-    Enumeration terminates because sqrt(Delta)/k decreases in k; whether a
-    member actually contributes (existence of an admissible h) is decided
-    later, when terms are summed.
+    Each positive divisor cell (D, c) of `spec.arcs` stands for the classes
+    (kappa, ell) with gcd(ell, L) = D and kappa = c (mod D), whose levels
+    k = ell (mod L) are exactly the k = D t with gcd(t, L/D) = 1, as
+    gcd(k, L) = gcd(ell, L).  The cells of one D and one Delta share a walk
+    over those k; sqrt(Delta)/k decreases along it, so merging the walks
+    terminates, and only the `depth` levels returned list their members.
+    Whether a member actually contributes (existence of an admissible h)
+    is decided later, when terms are summed.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     L = spec.L
-
-    def walk(ell, dn, kappas):
-        """(-Delta/k^2, ell, k, kappas) over k = ell, ell + L, ...: strictly
-        increasing.  The classes of one ell and one Delta share a walk."""
-        for k in count(ell, L):
-            yield Fraction(-dn, L * k * k), ell, k, kappas
-
-    walks = []
-    for ell in range(1, L + 1):
-        kappas: dict[int, list[int]] = {}
-        for kappa, dn in _major_classes(spec, ell):
-            kappas.setdefault(dn, []).append(kappa)
-        walks += [walk(ell, dn, ks) for dn, ks in kappas.items()]
-    if not walks:
+    cells: dict[tuple[int, int], list[int]] = {}
+    for D, row in spec.arcs.items():
+        for c, (dn, _) in enumerate(row):
+            if dn > 0:
+                cells.setdefault((D, dn), []).append(c)
+    if not cells:
         raise NoMajorArcsError("no major-arc class: every class has Delta <= 0")
-    # merged, the walks enumerate every member by decreasing Delta/k^2
-    groups = islice(groupby(heapq.merge(*walks), key=itemgetter(0)), depth)
-    return [DominantLevel(-neg, tuple(sorted((kappa, ell, k) for _, ell, k, ks in group
-                                             for kappa in ks)))
-            for neg, group in groups]
+
+    def walk(D, dn, cs):
+        """(-Delta/k^2, k, D, cs) over the levels k of the cells cs of D:
+        strictly increasing, and k fixes D, so ties never reach cs."""
+        for k in count(D, D):
+            if math.gcd(k, L) == D:
+                yield Fraction(-dn, L * k * k), k, D, cs
+
+    # merged, the walks enumerate every level by decreasing Delta/k^2
+    merged = heapq.merge(*(walk(D, dn, cs) for (D, dn), cs in cells.items()))
+    return [DominantLevel(-neg, tuple(sorted(
+                (kappa, ell, k) for _, k, D, cs in group
+                for ell in ((k - 1) % L + 1,) for c in cs
+                for kappa in range(c, ell, D))))
+            for neg, group in islice(groupby(merged, key=itemgetter(0)), depth)]
 
 
 class ResidueVerdict(_Record):
@@ -68,7 +74,9 @@ class ResidueVerdict(_Record):
 
     `signs[rho]` is 'positive', 'negative' or 'vanishing'; amplitudes carry
     the real value of the n-periodic factor at each residue.  A vanishing
-    verdict is numerical evidence, not a proof.  `levels` are those examined.
+    verdict is numerical evidence, not a proof.  `levels` are all the
+    `depth` ranked levels, also those past `level_index`, which were not
+    examined.
     """
 
     modulus: int

@@ -136,14 +136,6 @@ def _arc_table(spec: ProductSpec) -> dict[int, list[tuple[int, int]]]:
     return {D: [_cell_nums(spec, c, D) for c in range(D)] for D in _divisors(spec)}
 
 
-def _major_classes(spec: ProductSpec, ell: int) -> list[tuple[int, int]]:
-    """(kappa, L Delta) of the classes of level ell in the positive cells
-    of `spec.arcs`, cell by cell."""
-    D = math.gcd(ell, spec.L)
-    return [(kappa, dn) for c, (dn, _) in enumerate(spec.arcs[D]) if dn > 0
-            for kappa in range(c, ell, D)]
-
-
 def _live_cells(spec: ProductSpec) -> dict[int, dict[int, int]]:
     """{D: {c: L Delta}} over the live major-arc cells (D, c) of
     `spec.arcs`, those with L Delta > 0 and gcd(c, D) = 1, D increasing.

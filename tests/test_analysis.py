@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from qprodasym import (CoeffSeries, HypothesisError, NoMajorArcsError, ProductSp
                        analysis, asymptotics, classify_arcs, compare, dominant_levels,
                        expand_spec, leading_profile, sign_check)
 from qprodasym.analysis import DominantLevel, ResidueScan
-from qprodasym.asymptotics import _major_classes
+from qprodasym.asymptotics import _classes
 from qprodasym.cli import main
 
 from conftest import P5, RR, TG, h_sum, random_spec
@@ -25,10 +26,11 @@ IDENTITY = ProductSpec((2, 2), (1, 1), (1, -1))
 
 
 def heap_dominant_levels(spec, depth):
-    """The hand-written k-way heap merge of the levels, kept as the oracle."""
+    """The hand-written k-way heap merge of the levels, one walk per major-arc
+    class, kept as the oracle."""
     L = spec.L
-    heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell) for ell in range(1, L + 1)
-            for kappa, dn in _major_classes(spec, ell)]
+    heap = [(Fraction(-dn, L * ell * ell), kappa, ell, ell)
+            for kappa, ell, dn in _classes(spec) if dn > 0]
     heapq.heapify(heap)
     buckets = {}
     while heap:
@@ -121,12 +123,32 @@ class TestDominantLevels:
         specs = [P5, RR, TG, ProductSpec((60,), (5,), (-1,))]
         while len(specs) < 24:
             spec = random_spec(rng, max_j=3, max_m=12)
-            if spec.L <= 120 and any(_major_classes(spec, ell)
-                                     for ell in range(1, spec.L + 1)):
+            if spec.L <= 120 and any(dn > 0 for _, _, dn in _classes(spec)):
                 specs.append(spec)
         for spec in specs:
             for depth in range(1, 9):
                 assert dominant_levels(spec, depth) == heap_dominant_levels(spec, depth)
+
+    @pytest.mark.parametrize("spec", [ProductSpec((840,), (420,), (-1,)),
+                                      ProductSpec((1009,), (504,), (1,))],
+                             ids=["840:420:-1", "1009:504:1"])
+    def test_matches_heap_merge_large_L(self, spec):
+        for depth in range(1, 4):
+            assert dominant_levels(spec, depth) == heap_dominant_levels(spec, depth)
+
+    def test_large_L_reads_divisor_cells(self):
+        # L = 2520 has 3,176,460 classes but sigma(2520) = 9,360 divisor
+        # cells; the levels are walked per cell, and only the levels
+        # returned list their members
+        spec = ProductSpec((2520,), (1260,), (-1,))
+        tracemalloc.start()
+        try:
+            levels = dominant_levels(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(lv.members) for lv in levels] == [6864, 3732, 9216]
+        assert peak < 10 * 2 ** 20
 
 
 class TestLeadingProfile:

@@ -772,16 +772,22 @@ class TestLiveCells:
                 g_asymptotic(spec, 100, first - 1)
 
     def test_main_sum_reads_no_class_list(self, monkeypatch):
-        # the main sum takes its classes from the live cells, never from
-        # the per-level class lists of `_major_classes`
+        # the main sum and the level ranking take their classes from the
+        # divisor cells, never from the class list of `_classes`
         def refuse(*args):
-            raise AssertionError("the main sum listed the classes of a level")
+            raise AssertionError("a class list was built")
 
+        big = ProductSpec((840,), (420,), (-1,))
         want = [_bits(g_asymptotic(spec, 1000, K)) for spec in (P5, RR, TG)
                 for K in (None, 17)]
-        monkeypatch.setattr(asymptotics, "_major_classes", refuse)
+        levels = [analysis.dominant_levels(spec, 3) for spec in (P5, RR, TG, big)]
+        profiles = [analysis.leading_profile(spec) for spec in (P5, RR, TG, big)]
+        monkeypatch.setattr(asymptotics, "_classes", refuse)
         assert [_bits(g_asymptotic(spec, 1000, K)) for spec in (P5, RR, TG)
                 for K in (None, 17)] == want
+        fresh = [ProductSpec(s.m, s.r, s.delta) for s in (P5, RR, TG, big)]
+        assert [analysis.dominant_levels(spec, 3) for spec in fresh] == levels
+        assert [analysis.leading_profile(spec) for spec in fresh] == profiles
         for spec in (ProductSpec((4, 2), (1, 1), (2, -1)),
                      ProductSpec((3, 3), (1, 1), (1, -1))):
             with pytest.raises(HypothesisError, match="^no major-arc class"):

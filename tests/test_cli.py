@@ -313,6 +313,17 @@ class TestAnalyze:
         assert code == 0
         assert out == expected + "\n"
 
+    @pytest.mark.parametrize("argv,prefix", [
+        (("840:420:-1",), "7d395b17f5e2a124"),
+        (("1009:504:1",), "dfa4d7954a1de869"),
+        (("2520:630:-1", "--depth", "1"), "77d96ef1e94a1aa9"),
+    ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
+    def test_large_L_stdout(self, capsys, argv, prefix):
+        # the documents of the per-class level ranking
+        code, out, _ = run(capsys, "analyze", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
     def test_no_major_arcs_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "2:1:1", "2:1:-1")
         assert code == 2
