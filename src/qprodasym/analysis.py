@@ -76,7 +76,9 @@ class ResidueVerdict(_Record):
     the real value of the n-periodic factor at each residue.  A vanishing
     verdict is numerical evidence, not a proof.  `levels` are all the
     `depth` ranked levels, also those past `level_index`, which were not
-    examined.
+    examined.  `inconclusive` means that no ranked level has a member with
+    an admissible h; `level_index` is then `depth`, and the profile is a
+    placeholder: modulus 1, one 'vanishing' sign, amplitude 0.
     """
 
     modulus: int
@@ -88,16 +90,26 @@ class ResidueVerdict(_Record):
 
 
 def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
-    """Sign profile of the top nonvanishing Bessel level.
+    """Sign profile of the top ranked Bessel level that has a term.
 
-    Sums the h-sums of all members at the largest sqrt(Delta)/k value; the
-    resulting amplitude is periodic in n.  If every residue cancels, the
-    next level is examined, down to `depth` levels; exhausting them yields
-    an inconclusive verdict.  Raises HypothesisError where the hypothesis
-    inequality fails, as the asymptotic formula does not hold there, and
-    NoMajorArcsError or HypothesisError where no class is positive or
-    none has an admissible h at any level: the main sum's own check,
-    :func:`asymptotics._live_cells`.
+    The members of a level share sqrt(Delta)/k, so their h-sums add to one
+    amplitude A(n0) = front * sum c_{h,k} e^{-2 pi i n0 h/k}, periodic in n0
+    with period P, the lcm of the levels k that have an admissible h.  A
+    level is passed over, and the next ranked one examined, only when none
+    of its members has an admissible h.  A level with a term never cancels
+    at every residue: its h/k are distinct reduced fractions and |c_{h,k}|
+    = |Pi_{h,k}| > 0, so by Parseval sum_{n0 < P} |A(n0)|^2 = P |front|^2
+    sum |c_{h,k}|^2 > 0.  A is real, as the arc factor at -h/k is the
+    conjugate of the one at h/k (see :func:`asymptotics._paired_kernel`),
+    and a residue is 'vanishing' below VANISH_RATIO times the largest
+    |amplitude|.  When none of the `depth` levels has a term, the verdict
+    is inconclusive.
+
+    Raises ValueError when depth < 1, before any other check;
+    HypothesisError where the hypothesis inequality fails, as the
+    asymptotic formula does not hold there; and NoMajorArcsError or
+    HypothesisError where no class is positive or none has an admissible h
+    at any level: the main sum's own check, :func:`asymptotics._live_cells`.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -106,31 +118,27 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     levels = tuple(dominant_levels(spec, depth))
     front = _unit(sum(spec.delta), 2)
     for idx, level in enumerate(levels):
-        # one kernel pass per (k, ell) of the level; the exact phases and
-        # Pi values are shared by all residues n0
+        # one kernel pass per (k, ell) of the level, kept if it has a term;
+        # the exact phases and Pi values are shared by all residues n0
         kappas: dict[tuple[int, int], list[int]] = {}
         for kappa, ell, k in level.members:
             kappas.setdefault((k, ell), []).append(kappa)
-        arcs = {lv: _level_terms(spec, *lv, ks) for lv, ks in kappas.items()}
+        arcs = {lv: terms for lv, ks in kappas.items()
+                if (terms := _level_terms(spec, *lv, ks))}
+        if not arcs:
+            continue  # no member has an admissible h; descend
         present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
                    for h, _, _ in terms}
         contributing = [m for m in level.members if m in present]
-        if not contributing:
-            continue
-        P = math.lcm(*(k for _, _, k in contributing))
-        scale = 0.0
+        P = math.lcm(*(k for k, _ in arcs))
         amps = []
         for n0 in range(P):
             sums = {lv: _class_sums(spec, n0, *lv, terms) for lv, terms in arcs.items()}
             total = 0j
             for kappa, ell, k in contributing:
                 total += sums[k, ell][kappa]
-            value = front * total
-            amps.append(value.real)
-            scale = max(scale, abs(value))
-        if scale == 0.0 or all(abs(a) < VANISH_RATIO * scale for a in amps):
-            continue  # the whole level cancels; descend
-        cutoff = VANISH_RATIO * max(abs(a) for a in amps)
+            amps.append((front * total).real)
+        cutoff = VANISH_RATIO * max(map(abs, amps))
         signs = tuple("vanishing" if abs(a) < cutoff
                       else ("positive" if a > 0 else "negative")
                       for a in amps)

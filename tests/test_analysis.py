@@ -204,6 +204,67 @@ class TestLeadingProfile:
         for amp, expected in zip(verdict.amplitudes, factors):
             assert abs(amp - verdict.amplitudes[0] * expected / factors[0]) < 1e-9
 
+    def test_descends_past_levels_without_terms(self):
+        # the classes (0, 4) at k = 4 and (0, 2) at k = 2 have no h coprime
+        # to k with h = 0 (mod ell), so the profile comes from the third level
+        spec = ProductSpec((4, 3), (3, 2), (-1, 1))
+        verdict = leading_profile(spec)
+        assert [level.members for level in verdict.levels] == [
+            ((0, 4, 4),), ((0, 2, 2),), ((1, 3, 3), (2, 3, 3))]
+        assert verdict.level_index == 2
+        assert verdict.modulus == 3
+        assert verdict.signs == ("positive", "negative", "negative")
+        assert not verdict.inconclusive
+
+    def test_inconclusive_when_no_ranked_level_has_a_term(self):
+        verdict = leading_profile(ProductSpec((4, 3), (3, 2), (-1, 1)), 1)
+        assert verdict.inconclusive
+        assert verdict.level_index == 1
+        assert [level.members for level in verdict.levels] == [((0, 4, 4),)]
+
+    def test_depth_checked_before_hypothesis(self):
+        # the hypothesis fails for this spec (see test_hypothesis_failure)
+        with pytest.raises(ValueError, match="^depth must be positive$") as exc:
+            leading_profile(ProductSpec((3, 6), (1, 3), (1, -2)), 0)
+        assert not isinstance(exc.value, HypothesisError)
+
+    def test_level_with_a_term_never_cancels(self):
+        # A(n0) = front * sum c_{h,k} e^{-2 pi i n0 h/k} over distinct
+        # reduced h/k with |c_{h,k}| > 0 is, by Parseval, nonzero at some
+        # n0 < P, and it is real: no ranked level cancels at every residue
+        rng = random.Random(2028)
+        specs = checked = 0
+        while specs < 150:
+            spec = random_spec(rng, max_j=3, max_m=30)
+            try:
+                asymptotics._require_assumption(spec)
+                asymptotics._live_cells(spec)
+            except HypothesisError:
+                continue
+            specs += 1
+            front = asymptotics._unit(sum(spec.delta), 2)
+            for level in dominant_levels(spec, 3):
+                kappas = {}
+                for kappa, ell, k in level.members:
+                    kappas.setdefault((k, ell), []).append(kappa)
+                arcs = {lv: asymptotics._level_terms(spec, *lv, ks)
+                        for lv, ks in kappas.items()}
+                ks = [k for (k, _), terms in arcs.items() if terms]
+                if not ks:
+                    continue
+                amps = []
+                for n0 in range(math.lcm(*ks)):
+                    total = 0j
+                    for lv, terms in arcs.items():
+                        sums = asymptotics._class_sums(spec, n0, *lv, terms)
+                        total += sum(sums.get(kappa, 0j) for kappa in kappas[lv])
+                    amps.append(front * total)
+                top = max(map(abs, amps))
+                assert top > 0
+                assert max(abs(a.real) for a in amps) >= (1 - 1e-9) * top
+                checked += 1
+        assert checked >= 400
+
     def test_amplitudes_periodic(self):
         # recomputing at n0 + P reproduces the same amplitudes
         verdict = leading_profile(TG)

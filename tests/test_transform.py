@@ -186,6 +186,17 @@ class TestZh:
         assert needed > 100
         eval_zh_point(0.001j, 0.01j, needed)
 
+    def test_rejects_tau_off_upper_half_plane(self):
+        with pytest.raises(ValueError, match="^tau must lie in the upper half plane$"):
+            eval_zh_point(0.1, 0j, 10)
+
+    def test_rejects_tau_whose_q_rounds_to_one(self):
+        # |q| = e^{-2 pi 1e-18} is 1.0 in double, so no tail bound exists
+        assert abs(cmath.exp(2j * cmath.pi * 1e-18j)) == 1.0
+        with pytest.raises(ValueError,
+                           match="^Im\\(tau\\) is too small to evaluate the product$"):
+            eval_zh_point(0.1, 1e-18j, 10)
+
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             eval_Zh(0, 5, 1j, 10)
@@ -275,3 +286,10 @@ class TestIntegerTransformData:
                 dn = _cell_nums(spec, h, k)[0]
                 assert Fraction(dn, spec.L) == delta_hk(spec, h, k)
                 assert B.ratio(dn, spec.L) == fraction_real(delta_hk(spec, h, k), B)
+
+
+class TestBackend:
+    def test_unknown_precision_refused(self):
+        with pytest.raises(ValueError, match="^unknown precision 'quad' "
+                           "\\(use 'double' or 'extended'\\)$"):
+            get_backend("quad")
