@@ -21,8 +21,7 @@ _HOME = {
                     "lambda_star"),
     "analysis": ("DominantLevel", "ResidueVerdict", "compare", "dominant_levels",
                  "leading_profile", "sign_check"),
-    "qseries": ("CoeffSeries", "ProductSpec", "expand_spec", "oracle_expand",
-                "series_to_csv", "series_to_json"),
+    "qseries": ("CoeffSeries", "ProductSpec", "expand_spec", "oracle_expand"),
     "transform": ("check_main_transform", "eval_Zh"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}

@@ -376,7 +376,8 @@ class LogComplex(_Record):
         return cls(*_polar(complex(z)))
 
     def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(*_times((self.log_mag, self.arg), (other.log_mag, other.arg)))
+        return LogComplex(self.log_mag + other.log_mag,
+                          math.remainder(self.arg + other.arg, 2 * math.pi))
 
     def to_complex(self) -> complex:
         return cmath.rect(math.exp(self.log_mag), self.arg)
@@ -401,11 +402,6 @@ def _polar(z: complex) -> tuple[float, float]:
     if z == 0:
         return float("-inf"), 0.0
     return math.log(abs(z)), cmath.phase(z)
-
-
-def _times(a, b) -> tuple[float, float]:
-    """Product of (log-magnitude, argument) pairs, argument in [-pi, pi]."""
-    return a[0] + b[0], math.remainder(a[1] + b[1], 2 * math.pi)
 
 
 def logc_sum(terms: Iterable[tuple[float, float]]) -> LogComplex:
@@ -445,19 +441,21 @@ def _bessel_i1_series_log(x):
 def _bessel_i1_asym_log(x):
     # exponentially scaled expansion around e^x / sqrt(2 pi x); the
     # correction terms use 4 s^2 = 4 for order s = -1 (equivalently 1).
-    min_terms = 6
+    # The terms shrink through k = 6 for x > 117/48 (callers pass x >= 20),
+    # and a term below 1e-18 |total| is under half an ulp of the total, so
+    # neither break needs a minimum number of terms.
     term = 1.0
     total = term
     k = 1
     while True:
         factor = ((2 * k - 1) ** 2 - 4) / (8 * x * k)
         nxt = term * factor
-        if k > min_terms and abs(nxt) >= abs(term):
+        if abs(nxt) >= abs(term):
             break  # past the optimal truncation point
         term = nxt
         total += term
         k += 1
-        if abs(term) < 1e-18 * abs(total) and k > min_terms:
+        if abs(term) < 1e-18 * abs(total):
             break
     return x + math.log(total) - math.log(2 * math.pi * x) / 2
 
@@ -727,7 +725,7 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
                     if k > Kn:
                         continue
                     sums = _class_sums(spec, n, k, ell, arcs)
-                    bessels: dict[int, tuple[float, float]] = {}
+                    bessels: dict[int, float] = {}
                     for kappa in sums if members is None else kappas:
                         hs = sums.get(kappa, 0)
                         if hs == 0:
@@ -739,8 +737,8 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
                             x = math.pi * math.sqrt(dv * w) / (6 * k)
                             factor = bessels[dn] = (math.log(2 * math.pi / k)
                                                     + 0.5 * math.log(dv / w)
-                                                    + bessel_I_minus1(x).log_mag, 0.0)
-                        terms.append(_times(factor, _polar(hs)))
+                                                    + bessel_I_minus1(x).log_mag)
+                        terms.append((factor + math.log(abs(hs)), cmath.phase(hs)))
             if k == check:
                 check *= 2
                 for row in block:

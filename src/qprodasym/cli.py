@@ -12,21 +12,24 @@ Plain argv is read straight from `COMMANDS`; argparse is imported only for
 help, errors and the forms the strict parser leaves to it, and the output is
 the same either way.  Each `cmd_*(spec, args)` only computes and returns a
 writer `out -> None`; `main` opens `--out` after it, writes and maps errors.
+Every JSON document is encoded by `_json` and every CSV table by `_csv`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import random
 import sys
 from contextlib import nullcontext
+from itertools import chain
 from types import SimpleNamespace
 
 from . import analysis, asymptotics, transform
-from .qseries import (ProductSpec, expand_spec, series_to_csv, series_to_json)
+from .qseries import ProductSpec, expand_spec
 
 USAGE_ERROR = 1
 HYPOTHESIS_ERROR = 2
@@ -73,11 +76,18 @@ def _json(doc):
     return _text(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+def _csv(header, rows):
+    """The writer of `header` and then `rows`, one CSV line each."""
+    return lambda out: csv.writer(out, lineterminator="\n").writerows(chain([header], rows))
+
+
 def cmd_expand(spec: ProductSpec, args):
     series = expand_spec(spec, args.order)
     if args.format == "json":
-        return _text(series_to_json(series) + "\n")
-    return lambda out: series_to_csv(series, out)
+        # decimal strings: the coefficients outgrow 64 bits
+        return _json({"truncation_order": series.truncation_order,
+                      "coefficients": [str(g) for g in series.coeffs]})
+    return _csv(("n", "g"), enumerate(series.coeffs))
 
 
 # the most classes `arcs` lists: L = 1413 gives 998,991 in about 0.6 s and
@@ -143,8 +153,7 @@ def cmd_compare(spec: ProductSpec, args):
               _fmt(r.rel_error)) for r in analysis.compare(spec, n_values, args.K)]
     if args.format == "json":
         return _json([dict(zip(_COMPARE_FIELDS, row)) for row in table])
-    return lambda out: csv.writer(out, lineterminator="\n").writerows(
-        [_COMPARE_FIELDS, *table])
+    return _csv(_COMPARE_FIELDS, table)
 
 
 def cmd_analyze(spec: ProductSpec, args):
@@ -282,7 +291,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         write = args.fn(parse_spec(args.spec), args)
         try:
-            with (nullcontext(sys.stdout) if args.out is None
+            stdout = sys.stdout
+            if args.out is None and isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+                # unbuffered (PYTHONUNBUFFERED): sys.stdout drops the count of
+                # a short raw write, so a closed reader would go unnoticed
+                stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, closefd=False)
+            with (nullcontext(stdout) if args.out is None
                   else open(args.out, "w", encoding="utf-8")) as out:
                 write(out)
                 out.flush()

@@ -23,11 +23,10 @@ second oracle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from itertools import islice, repeat
 from operator import attrgetter, mul, sub
-from typing import IO, Sequence
+from typing import Sequence
 
 
 class _Record:
@@ -379,21 +378,3 @@ def oracle_expand(spec: ProductSpec, N: int) -> CoeffSeries:
             power = _newton_inverse(power, N)
         result = _poly_mul(result, power, N)
     return CoeffSeries(result)
-
-
-def series_to_csv(series: CoeffSeries, out: IO[str]) -> None:
-    """Write `n,g` rows with plain decimal integers."""
-    import csv  # not needed to expand
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "g"])
-    for n, g in enumerate(series.coeffs):
-        writer.writerow([n, g])
-
-
-def series_to_json(series: CoeffSeries) -> str:
-    """JSON document with coefficients as decimal strings (64-bit safe)."""
-    doc = {
-        "truncation_order": series.truncation_order,
-        "coefficients": [str(g) for g in series.coeffs],
-    }
-    return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)

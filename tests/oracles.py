@@ -11,7 +11,7 @@ against it:
   from the cell numerator of `asymptotics._cell_nums`;
 - :func:`apply_factor`, one binomial (1 - q^t) at a time, the stride
   route the expander is checked against, and :func:`series_from_json`,
-  the reader of `qseries.series_to_json`;
+  the reader of the CLI's ``expand --format json`` output;
 - :class:`ModularMatrix`, :func:`chi`, :func:`eval_eta` and
   :func:`eval_theta`, the eta and theta machinery of the classical
   transformation laws that criterion 3 checks beside the arc

@@ -1018,6 +1018,10 @@ class TestLogComplex:
         lc = LogComplex.from_complex(z)
         assert abs(lc.to_complex() - z) < 1e-14
 
+    def test_zero(self):
+        # log |0| = -inf, with argument 0
+        assert LogComplex.from_complex(0j) == LogComplex(float("-inf"), 0.0)
+
     def test_product(self):
         a = LogComplex.from_complex(2 + 1j)
         b = LogComplex.from_complex(-1 + 3j)

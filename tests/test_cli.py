@@ -40,6 +40,10 @@ class TestParseSpec:
         assert spec.r == (2, 2, 4)
         assert spec.delta == (-2, 1, 2)
 
+    def test_empty_specification(self):
+        with pytest.raises(SpecParseError, match="^empty specification$"):
+            parse_spec([])
+
     @pytest.mark.parametrize("token,needle", [
         ("5:1", "expected m:r:delta"),
         ("5:x:1", "integers"),
@@ -564,14 +568,22 @@ class TestOutputPath:
         assert run(capsys, "expand", "5:1:-1", "--order", "10") == (
             1, "", "qprodasym: error: not enough memory for this query\n")
 
-    def test_closed_stdout_exits_one_silently(self):
-        # about 1 MB of CSV, far more than a pipe buffer holds
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt,head", [("csv", b"n,g\n"), ("json", b'{"coefficients":[')],
+                             ids=["csv", "json"])
+    def test_closed_stdout_exits_one_silently(self, fmt, head, unbuffered):
+        # about 1 MB either way, far more than a pipe buffer holds; the JSON
+        # document goes out in one write, which a raw unbuffered stdout
+        # would cut short without an error
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qprodasym.cli", "expand", "5:1:-1", "--order", "20000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
-        assert proc.stdout.readline() == b"n,g\n"
+            [sys.executable, "-m", "qprodasym.cli", "expand", "5:1:-1", "--order", "20000",
+             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(20).startswith(head)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

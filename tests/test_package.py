@@ -27,8 +27,7 @@ NAMES = {
     "classify_arcs", "compare", "dedekind_sum_fast", "default_K",
     "dominant_levels", "eval_Zh", "expand_spec", "g_asymptotic",
     "g_asymptotic_members", "gcd0", "hbar", "lambda_int", "lambda_star",
-    "leading_profile", "oracle_expand", "series_to_csv", "series_to_json",
-    "sign_check",
+    "leading_profile", "oracle_expand", "sign_check",
 }
 
 # loaded by no session: the records need neither
@@ -68,6 +67,25 @@ print(json.dumps([sorted(loaded), sorted(set(sys.modules) - before)]))
     assert _package_modules(loaded) == {"qprodasym", "qprodasym.qseries"}
     assert not NOT_FOR_EXPAND & set(loaded)
     assert during_call == []
+
+
+def test_expand_session_loads_no_json():
+    """Only `cli` encodes, so an expand-only session never loads `json`.
+    The script records ``sys.modules`` before it imports anything, where
+    :func:`_probe` would already have loaded `json` itself."""
+    script = """import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import qprodasym
+from qprodasym import ProductSpec, expand_spec
+expand_spec(ProductSpec((5, 10, 10), (2, 2, 4), (-2, 1, 2)), 300)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, SRC],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert "qprodasym.qseries" in loaded
+    assert not {"json", "_json"} & loaded
 
 
 def test_cli_import_loads_no_dataclasses():

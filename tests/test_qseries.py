@@ -1,16 +1,16 @@
 """Exact expansion engine: factor application, the sparse triple-product
 kernels, the expander against the independent convolution/Newton oracle
-and the stride route, and serialization round-trips.
+and the stride route, and round-trips of the `expand` command's output.
 """
 
-import io
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qprodasym import (CoeffSeries, ProductSpec, expand_spec, oracle_expand,
-                       series_to_csv, series_to_json)
+from qprodasym import CoeffSeries, ProductSpec, expand_spec, oracle_expand
+from qprodasym.cli import main
 from qprodasym.qseries import _pochhammer_poly, _poly_mul, _theta_terms
 
 from conftest import P5, RR, TG, random_spec
@@ -236,29 +236,38 @@ class TestExpandSpec:
         assert list(full) == _poly_mul(half, half, 300)
 
 
+def _expand(capsys, *argv):
+    """The stdout of ``qprodasym expand *argv``, which must succeed."""
+    assert main(["expand", *argv]) == 0
+    return capsys.readouterr().out
+
+
 class TestSerialization:
-    def test_csv_layout(self):
-        buf = io.StringIO()
-        series_to_csv(CoeffSeries((1, -1, 0)), buf)
-        assert buf.getvalue() == "n,g\n0,1\n1,-1\n2,0\n"
+    def test_csv_layout(self, capsys):
+        # a negative and a zero coefficient, as plain decimal integers
+        out = _expand(capsys, "5:1:1", "5:2:-1", "--order", "3")
+        assert out == "n,g\n0,1\n1,-1\n2,1\n3,0\n"
 
-    def test_json_roundtrip(self):
-        s = expand_spec(TG, 60)
-        text = series_to_json(s)
+    def test_json_roundtrip(self, capsys):
+        text = _expand(capsys, "5:2:-2", "10:2:1", "10:4:2", "--order", "60", "--format", "json")
         back = series_from_json(text)
-        assert back.coeffs == s.coeffs
-        # serialization is canonical: a second pass is byte-identical
-        assert series_to_json(back) == text
+        assert back == expand_spec(TG, 60)
+        # the document is canonical: encoding the series read back gives its bytes
+        doc = {"truncation_order": back.truncation_order,
+               "coefficients": [str(g) for g in back.coeffs]}
+        assert json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n" == text
 
-    def test_json_uses_decimal_strings(self):
+    def test_json_uses_decimal_strings(self, capsys):
         # coefficients overflow 64 bits quickly; they must travel as strings
+        text = _expand(capsys, "5:1:-1", "--order", "2000", "--format", "json")
+        assert isinstance(json.loads(text)["coefficients"][2000], str)
         s = expand_spec(P5, 2000)
         assert abs(s[2000]) > 2**64
-        back = series_from_json(series_to_json(s))
-        assert back[2000] == s[2000]
+        assert series_from_json(text)[2000] == s[2000]
 
-    def test_json_rejects_inconsistent_document(self):
-        text = series_to_json(CoeffSeries((1, 2)))
+    def test_json_rejects_inconsistent_document(self, capsys):
+        text = _expand(capsys, "5:1:-1", "--order", "1", "--format", "json")
         broken = text.replace('"truncation_order":1', '"truncation_order":5')
+        assert broken != text
         with pytest.raises(ValueError):
             series_from_json(broken)
