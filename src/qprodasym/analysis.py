@@ -77,11 +77,11 @@ class ResidueVerdict(_Record):
     verdict is numerical evidence, not a proof.  `levels` are all the
     `depth` ranked levels, also those past `level_index`, which were not
     examined.  `inconclusive` means that no ranked level has a member with
-    an admissible h; `level_index` is then `depth`, and the profile is a
-    placeholder: modulus 1, one 'vanishing' sign, amplitude 0.
+    an admissible h; `level_index` is then `depth`, no amplitude was
+    computed, and the profile is empty: modulus None, no sign, no amplitude.
     """
 
-    modulus: int
+    modulus: int | None
     signs: tuple[str, ...]
     amplitudes: tuple[float, ...]
     level_index: int
@@ -100,7 +100,7 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     at every residue: its h/k are distinct reduced fractions and |c_{h,k}|
     = |Pi_{h,k}| > 0, so by Parseval sum_{n0 < P} |A(n0)|^2 = P |front|^2
     sum |c_{h,k}|^2 > 0.  A is real, as the arc factor at -h/k is the
-    conjugate of the one at h/k (see :func:`asymptotics._paired_kernel`),
+    conjugate of the one at h/k (see :func:`asymptotics._level_arcs`),
     and a residue is 'vanishing' below VANISH_RATIO times the largest
     |amplitude|.  When none of the `depth` levels has a term, the verdict
     is inconclusive.
@@ -127,24 +127,22 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
                 if (terms := _level_terms(spec, *lv, ks))}
         if not arcs:
             continue  # no member has an admissible h; descend
-        present = {(h % ell, ell, k) for (k, ell), terms in arcs.items()
-                   for h, _, _ in terms}
-        contributing = [m for m in level.members if m in present]
         P = math.lcm(*(k for k, _ in arcs))
         amps = []
         for n0 in range(P):
+            # a member without an admissible h has no entry in its class sums
             sums = {lv: _class_sums(spec, n0, *lv, terms) for lv, terms in arcs.items()}
             total = 0j
-            for kappa, ell, k in contributing:
-                total += sums[k, ell][kappa]
+            for kappa, ell, k in level.members:
+                if (term := sums.get((k, ell), {}).get(kappa)) is not None:
+                    total += term
             amps.append((front * total).real)
         cutoff = VANISH_RATIO * max(map(abs, amps))
         signs = tuple("vanishing" if abs(a) < cutoff
                       else ("positive" if a > 0 else "negative")
                       for a in amps)
         return ResidueVerdict(P, signs, tuple(amps), idx, levels=levels)
-    return ResidueVerdict(1, ("vanishing",), (0.0,), len(levels), inconclusive=True,
-                          levels=levels)
+    return ResidueVerdict(None, (), (), len(levels), inconclusive=True, levels=levels)
 
 
 class CompareRow(_Record):

@@ -487,27 +487,6 @@ def default_K(spec: ProductSpec, n: int) -> int:
     return max(1, math.floor(math.sqrt(2 * math.pi * float(n + spec.omega / 24))))
 
 
-def _paired_kernel(spec: ProductSpec, k: int, hs: list[int]) -> list:
-    """:func:`_arc_kernel` over `hs`, a set closed under h -> k - h with
-    k > 2, running the kernel on the h < k/2 and one partner only.
-
-    Pi_{k-h,k} has the factors of Pi_{h,k}, and num(k - h) = C_k - num(h)
-    (mod 6 L k) with one constant C_k per level, here read off the pair of
-    the first h.  Both follow from the real coefficients of the product:
-    the arc factor at -h/k is the complex conjugate of the one at h/k.
-    Conjugation turns each Pi factor 1 - e^{2 pi i x} into 1 - e^{-2 pi i x},
-    the factor of the arc -h/k, which is the arc (k - h)/k, and it negates
-    the phase exponent; what the shift from -h to k - h adds to it depends
-    on k only.
-    """
-    half = [h for h in hs if 2 * h < k]
-    arcs = {h: (num, pi) for h, num, pi in _arc_kernel(spec, k, half + [k - half[0]])}
-    C = arcs[half[0]][0] + arcs[k - half[0]][0]
-    for h in half:
-        arcs.setdefault(k - h, ((C - arcs[h][0]) % (6 * spec.L * k), arcs[h][1]))
-    return [(h, *arcs[h]) for h in hs]
-
-
 def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
     """The exact arcs [(h, phase numerator, Pi factors)] of the classes
     (kappa, ell) of level k, for kappa in `kappas`.
@@ -518,18 +497,32 @@ def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> l
     default main sum passes the residues c < D of its live cells (see
     :func:`_live_cells`), each a class of its own.  The level walks every
     h of those cells once, increasing within a cell, and runs one
-    :func:`_arc_kernel` pass
-    over them, so the output is integers only: num over 3 L k and the
-    factor tuples of Pi.  When D divides k and the cells are closed under
-    c -> -c (mod D), the h come in pairs {h, k - h}, and
-    :func:`_paired_kernel` evaluates one of each.
+    :func:`_arc_kernel` pass over them, so the output is integers only:
+    num over 3 L k and the factor tuples of Pi.
+
+    When D divides k and the cells are closed under c -> -c (mod D), the h
+    come in pairs {h, k - h}, and with k > 2 the kernel runs on the
+    h < k/2 and one partner only.  Pi_{k-h,k} has the factors of Pi_{h,k},
+    and num(k - h) = C - num(h) (mod 6 L k) with one constant C per level,
+    here read off the pair of the first h.  Both follow from the real
+    coefficients of the product: the arc factor at -h/k is the complex
+    conjugate of the one at h/k.  Conjugation turns each Pi factor
+    1 - e^{2 pi i x} into 1 - e^{-2 pi i x}, the factor of the arc -h/k,
+    which is the arc (k - h)/k, and it negates the phase exponent; what the
+    shift from -h to k - h adds to it depends on k only.
     """
     D = math.gcd(ell, spec.L)
     cs = {kappa % D for kappa in kappas}
     hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
-    if hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}:
-        return _paired_kernel(spec, k, hs)
-    return _arc_kernel(spec, k, hs)
+    if not (hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}):
+        return _arc_kernel(spec, k, hs)
+    half = [h for h in hs if 2 * h < k]
+    arcs = {arc[0]: arc for arc in _arc_kernel(spec, k, half + [k - half[0]])}
+    C = arcs[half[0]][1] + arcs[k - half[0]][1]
+    for h in half[1:]:
+        _, num, pi = arcs[h]
+        arcs[k - h] = (k - h, (C - num) % (6 * spec.L * k), pi)
+    return [arcs[h] for h in hs]
 
 
 def _level_terms(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
@@ -538,16 +531,11 @@ def _level_terms(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> 
     Pi does not depend on n, and it takes few values: m_j hbar h = -g
     (mod k) leaves at most g = gcd(m_j, k) exponents per factor and level.
     So each distinct factor tuple of the level is evaluated once by
-    :func:`_pi_value`.
+    :func:`_pi_value`, in one pass before the terms are built.
     """
-    pis = {}
-    terms = []
-    for h, num, factors in _level_arcs(spec, k, ell, kappas):
-        pi = pis.get(factors)
-        if pi is None:
-            pi = pis[factors] = _pi_value(factors)
-        terms.append((h, num, pi))
-    return terms
+    arcs = _level_arcs(spec, k, ell, kappas)
+    pis = {f: _pi_value(f) for f in {f for _, _, f in arcs}}
+    return [(h, num, pis[f]) for h, num, f in arcs]
 
 
 def _class_sums(spec: ProductSpec, n: int, k: int, ell: int, terms) -> dict:

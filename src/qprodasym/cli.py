@@ -202,7 +202,7 @@ COMMANDS = {
     "expand": (cmd_expand, "exact Taylor coefficients",
                {"--order": dict(type=int, required=True),
                 "--format": dict(choices=["csv", "json"], default="csv")}),
-    "arcs": (cmd_arcs, "Omega, L, arc classes, hypothesis check",
+    "arcs": (cmd_arcs, f"Omega, L, arc classes (at most {_MAX_CLASSES:,}), hypothesis check",
              {"--format": dict(choices=["text", "json"], default="text")}),
     "asym": (cmd_asym, "truncated Bessel-series value",
              {"--n": dict(type=int, required=True), **_K}),

@@ -220,6 +220,8 @@ class TestLeadingProfile:
         verdict = leading_profile(ProductSpec((4, 3), (3, 2), (-1, 1)), 1)
         assert verdict.inconclusive
         assert verdict.level_index == 1
+        # no amplitude was computed, so none is reported
+        assert (verdict.modulus, verdict.signs, verdict.amplitudes) == (None, (), ())
         assert [level.members for level in verdict.levels] == [((0, 4, 4),)]
 
     def test_depth_checked_before_hypothesis(self):

@@ -771,6 +771,21 @@ class TestLiveCells:
             with pytest.raises(ValueError, match=f"its first term is at level k = {first}$"):
                 g_asymptotic(spec, 100, first - 1)
 
+    @pytest.mark.parametrize("spec", _live_specs(), ids=str)
+    def test_default_walk_takes_the_paired_route(self, spec):
+        # L * Delta depends on c only through a (a - g), a = -r_j c mod g,
+        # which c -> -c leaves as it is (a -> g - a, or 0 -> 0), and
+        # gcd(-c, D) = gcd(c, D); so the live cells of each D are closed
+        # under c -> -c (mod D), D divides every default level k of D, and
+        # each such level with k > 2 runs one kernel evaluation per pair
+        # {h, k - h}
+        try:
+            live = _live_cells(spec)
+        except (NoMajorArcsError, HypothesisError):
+            return      # no positive cell, or none with an admissible h
+        for D, cells in live.items():
+            assert {-c % D for c in cells} == set(cells)
+
     def test_main_sum_reads_no_class_list(self, monkeypatch):
         # the main sum and the level ranking take their classes from the
         # divisor cells, never from the class list of `_classes`
