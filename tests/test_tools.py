@@ -1,14 +1,24 @@
-"""`tools/code_lines.py`, the code-line count that the size gates read:
-it counts lines that hold code, and leaves out docstrings, comments and
-blank lines."""
+"""The tools: `tools/code_lines.py`, the code-line count that the size
+gates read, which counts lines that hold code and leaves out docstrings,
+comments and blank lines; and `tools/bitcheck.py`, the bit-identity
+digests of the package's outputs over a seeded corpus."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+bitcheck = _load("bitcheck")
 
 SNIPPET = '''"""A module docstring
 over two lines."""
@@ -47,3 +57,13 @@ def test_main_prints_each_package_file_and_the_total(capsys):
     for n, name in files:
         assert int(n) == code_lines.code_lines((package / name).read_text())
     assert total == [str(sum(int(n) for n, _ in files)), "total"]
+
+
+def test_bitcheck_slice_matches_recorded_digests():
+    # the named specs and the first random ones, against the digests in
+    # tools/bitcheck.json (under 1 s on a 2-core host);
+    # `python tools/bitcheck.py` checks the whole corpus
+    got = bitcheck.digests(bitcheck.corpus()[:bitcheck.SLICE])
+    recorded = json.loads((ROOT / "tools" / "bitcheck.json").read_text())
+    assert got == recorded["slice"]
+    assert set(recorded["corpus"]) == set(got) == set(bitcheck.SURFACES)
