@@ -118,24 +118,26 @@ def leading_profile(spec: ProductSpec, depth: int = 3) -> ResidueVerdict:
     levels = tuple(dominant_levels(spec, depth))
     front = _unit(sum(spec.delta), 2)
     for idx, level in enumerate(levels):
-        # one kernel pass per (k, ell) of the level, kept if it has a term;
-        # the exact phases and Pi values are shared by all residues n0
-        kappas: dict[tuple[int, int], list[int]] = {}
-        for kappa, ell, k in level.members:
-            kappas.setdefault((k, ell), []).append(kappa)
-        arcs = {lv: terms for lv, ks in kappas.items()
-                if (terms := _level_terms(spec, *lv, ks))}
+        # one kernel pass per k of the level, kept if it has a term; the
+        # exact phases and Pi values are shared by all residues n0
+        kappas: dict[int, list[int]] = {}
+        for kappa, _, k in level.members:
+            kappas.setdefault(k, []).append(kappa)
+        arcs = {k: terms for k, ks in kappas.items() if (terms := _level_terms(spec, k, ks))}
         if not arcs:
             continue  # no member has an admissible h; descend
-        P = math.lcm(*(k for k, _ in arcs))
+        P = math.lcm(*arcs)
         amps = []
         for n0 in range(P):
-            # a member without an admissible h has no entry in its class sums
-            sums = {lv: _class_sums(spec, n0, *lv, terms) for lv, terms in arcs.items()}
+            sums = {k: _class_sums(spec, n0, k, terms) for k, terms in arcs.items()}
+            if not n0:
+                # the members with an entry in their class sums, in order:
+                # those whose class has an admissible h, at every n0
+                found = [(k, kappa) for kappa, _, k in level.members
+                         if kappa in sums.get(k, ())]
             total = 0j
-            for kappa, ell, k in level.members:
-                if (term := sums.get((k, ell), {}).get(kappa)) is not None:
-                    total += term
+            for k, kappa in found:
+                total += sums[k][kappa]
             amps.append((front * total).real)
         cutoff = VANISH_RATIO * max(map(abs, amps))
         signs = tuple("vanishing" if abs(a) < cutoff

@@ -253,11 +253,6 @@ class ArcDatum(_Record):
     phase: Fraction               # t in [0, 2): (-1)^{sum delta*lambda} omega^2 D = e^{i pi t}
     pi_exponents: tuple[tuple[Fraction, int], ...]  # (x mod 1, delta) factors of Pi
 
-    def pi_value(self):
-        """Pi_{h,k} as a complex number; each factor is 1 - e^{2 pi i x}."""
-        return _pi_value(tuple((x.numerator, x.denominator, d)
-                               for x, d in self.pi_exponents))
-
 
 def _arc_kernel(spec: ProductSpec, k: int, hs: Iterable[int],
                 hbars: tuple[int, ...] | None = None):
@@ -379,9 +374,6 @@ class LogComplex(_Record):
         return LogComplex(self.log_mag + other.log_mag,
                           math.remainder(self.arg + other.arg, 2 * math.pi))
 
-    def to_complex(self) -> complex:
-        return cmath.rect(math.exp(self.log_mag), self.arg)
-
     @property
     def real_sign(self) -> int:
         c = math.cos(self.arg)
@@ -487,21 +479,25 @@ def default_K(spec: ProductSpec, n: int) -> int:
     return max(1, math.floor(math.sqrt(2 * math.pi * float(n + spec.omega / 24))))
 
 
-def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
+def _level_arcs(spec: ProductSpec, k: int, kappas: Iterable[int]) -> list:
     """The exact arcs [(h, phase numerator, Pi factors)] of the classes
     (kappa, ell) of level k, for kappa in `kappas`.
 
-    A class (kappa, ell) at k sums over the h coprime to k with
-    h = kappa (mod ell); they lie in its divisor cell h = kappa (mod D),
-    D = gcd(ell, L).  So only the cells kappa mod D of `kappas` matter: the
+    A level fixes its classes' ell: a class enters only at the levels
+    k = ell (mod L), so ell = (k - 1) mod L + 1, and D = gcd(ell, L)
+    = gcd(k, L).  A class (kappa, ell) at k sums over the h coprime to k
+    with h = kappa (mod ell); they lie in its divisor cell h = kappa
+    (mod D).  So only the cells kappa mod D of `kappas` matter: the
     default main sum passes the residues c < D of its live cells (see
     :func:`_live_cells`), each a class of its own.  The level walks every
     h of those cells once, increasing within a cell, and runs one
     :func:`_arc_kernel` pass over them, so the output is integers only:
     num over 3 L k and the factor tuples of Pi.
 
-    When D divides k and the cells are closed under c -> -c (mod D), the h
-    come in pairs {h, k - h}, and with k > 2 the kernel runs on the
+    D = gcd(k, L) divides k, so when the cells are closed under c -> -c
+    (mod D), the h come in pairs {h, k - h}; no test of D | k is needed,
+    as only k is passed, never an ell of another level whose D might not
+    divide k.  With k > 2 the kernel then runs on the
     h < k/2 and one partner only.  Pi_{k-h,k} has the factors of Pi_{h,k},
     and num(k - h) = C - num(h) (mod 6 L k) with one constant C per level,
     here read off the pair of the first h.  Both follow from the real
@@ -511,10 +507,10 @@ def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> l
     which is the arc (k - h)/k, and it negates the phase exponent; what the
     shift from -h to k - h adds to it depends on k only.
     """
-    D = math.gcd(ell, spec.L)
+    D = math.gcd(k, spec.L)
     cs = {kappa % D for kappa in kappas}
     hs = [h for c in sorted(cs) for h in range(c, k, D) if math.gcd(h, k) == 1]
-    if not (hs and k > 2 and k % D == 0 and cs == {-c % D for c in cs}):
+    if not (hs and k > 2 and cs == {-c % D for c in cs}):
         return _arc_kernel(spec, k, hs)
     half = [h for h in hs if 2 * h < k]
     arcs = {arc[0]: arc for arc in _arc_kernel(spec, k, half + [k - half[0]])}
@@ -525,7 +521,7 @@ def _level_arcs(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> l
     return [arcs[h] for h in hs]
 
 
-def _level_terms(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> list:
+def _level_terms(spec: ProductSpec, k: int, kappas: Iterable[int]) -> list:
     """:func:`_level_arcs` with Pi_{h,k} as a complex double.
 
     Pi does not depend on n, and it takes few values: m_j hbar h = -g
@@ -533,15 +529,16 @@ def _level_terms(spec: ProductSpec, k: int, ell: int, kappas: Iterable[int]) -> 
     So each distinct factor tuple of the level is evaluated once by
     :func:`_pi_value`, in one pass before the terms are built.
     """
-    arcs = _level_arcs(spec, k, ell, kappas)
+    arcs = _level_arcs(spec, k, kappas)
     pis = {f: _pi_value(f) for f in {f for _, _, f in arcs}}
     return [(h, num, pis[f]) for h, num, f in arcs]
 
 
-def _class_sums(spec: ProductSpec, n: int, k: int, ell: int, terms) -> dict:
+def _class_sums(spec: ProductSpec, n: int, k: int, terms) -> dict:
     """Per class kappa = h mod ell, the sum of e^{-2 pi i n h / k}
     phase_{h,k} Pi_{h,k} over the :func:`_level_terms` `terms` of level
-    (k, ell), in their order: the per-n stage of the main sum.
+    k, in their order: the per-n stage of the main sum.  The level fixes
+    ell = (k - 1) mod L + 1, as in :func:`_level_arcs`.
 
     -2 n h / k is -step h / D with step = 6 L n and D = 3 L k, so each
     exponent stays an integer over D, is reduced into (-D, D] and is
@@ -550,6 +547,7 @@ def _class_sums(spec: ProductSpec, n: int, k: int, ell: int, terms) -> dict:
     """
     exp = cmath.exp
     jpi = 1j * math.pi
+    ell = (k - 1) % spec.L + 1
     step = 6 * spec.L * n
     D = 3 * spec.L * k
     D2 = 2 * D
@@ -706,13 +704,13 @@ def _main_sums(spec: ProductSpec, ns, K: int | None = None,
             if all(row[1] < k for row in block):
                 break
             if kappas:
-                ell, D = (k - 1) % L + 1, math.gcd(k, L)
+                D = math.gcd(k, L)
                 cells = live.get(D)
-                arcs = _level_terms(spec, k, ell, kappas)
+                arcs = _level_terms(spec, k, kappas)
                 for n, Kn, w, terms in block:
                     if k > Kn:
                         continue
-                    sums = _class_sums(spec, n, k, ell, arcs)
+                    sums = _class_sums(spec, n, k, arcs)
                     bessels: dict[int, float] = {}
                     for kappa in sums if members is None else kappas:
                         hs = sums.get(kappa, 0)

@@ -121,10 +121,6 @@ class ProductSpec(_Record):
             if d == 0:
                 raise ValueError(f"factor {j}: delta must be nonzero")
 
-    @property
-    def J(self) -> int:
-        return len(self.m)
-
     @functools.cached_property
     def L(self) -> int:
         """lcm of all moduli m_j (each at least 2, checked on construction)."""
@@ -143,10 +139,6 @@ class ProductSpec(_Record):
         from fractions import Fraction  # not needed to expand
         return sum((d * (2 * m - 12 * r + Fraction(12 * r * r, m))
                     for m, r, d in zip(self.m, self.r, self.delta)), Fraction(0))
-
-    def negated(self) -> "ProductSpec":
-        """The reciprocal product (all exponents negated)."""
-        return ProductSpec(self.m, self.r, tuple(-d for d in self.delta))
 
 
 class CoeffSeries(_Record):

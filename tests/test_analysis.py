@@ -16,6 +16,7 @@ from qprodasym import (CoeffSeries, HypothesisError, NoMajorArcsError, ProductSp
                        analysis, asymptotics, classify_arcs, compare, dominant_levels,
                        expand_spec, leading_profile, sign_check)
 from qprodasym.analysis import DominantLevel, ResidueScan
+from qprodasym.arith import coprime_residues
 from qprodasym.asymptotics import _classes
 from qprodasym.cli import main
 
@@ -247,25 +248,56 @@ class TestLeadingProfile:
             front = asymptotics._unit(sum(spec.delta), 2)
             for level in dominant_levels(spec, 3):
                 kappas = {}
-                for kappa, ell, k in level.members:
-                    kappas.setdefault((k, ell), []).append(kappa)
-                arcs = {lv: asymptotics._level_terms(spec, *lv, ks)
-                        for lv, ks in kappas.items()}
-                ks = [k for (k, _), terms in arcs.items() if terms]
+                for kappa, _, k in level.members:
+                    kappas.setdefault(k, []).append(kappa)
+                arcs = {k: asymptotics._level_terms(spec, k, ks)
+                        for k, ks in kappas.items()}
+                ks = [k for k, terms in arcs.items() if terms]
                 if not ks:
                     continue
                 amps = []
                 for n0 in range(math.lcm(*ks)):
                     total = 0j
-                    for lv, terms in arcs.items():
-                        sums = asymptotics._class_sums(spec, n0, *lv, terms)
-                        total += sum(sums.get(kappa, 0j) for kappa in kappas[lv])
+                    for k, terms in arcs.items():
+                        sums = asymptotics._class_sums(spec, n0, k, terms)
+                        total += sum(sums.get(kappa, 0j) for kappa in kappas[k])
                     amps.append(front * total)
                 top = max(map(abs, amps))
                 assert top > 0
                 assert max(abs(a.real) for a in amps) >= (1 - 1e-9) * top
                 checked += 1
         assert checked >= 400
+
+    def test_residues_read_only_the_members_with_a_term(self, monkeypatch):
+        # 12:6:-1: the top level has 20 members, 12 at the levels k with a
+        # term and 6 with an admissible h; each residue looks up those 6
+        spec = ProductSpec((12,), (6,), (-1,))
+        lookups = {}
+        real = analysis._class_sums
+
+        class Counted(dict):
+            def __getitem__(self, kappa):
+                lookups[self.n] = lookups.get(self.n, 0) + 1
+                return super().__getitem__(kappa)
+
+            def get(self, kappa, default=None):
+                lookups[self.n] = lookups.get(self.n, 0) + 1
+                return super().get(kappa, default)
+
+        def counted(spec, n, *level):
+            sums = Counted(real(spec, n, *level))
+            sums.n = n
+            return sums
+
+        monkeypatch.setattr(analysis, "_class_sums", counted)
+        verdict = leading_profile(spec, 1)
+        monkeypatch.undo()
+        members = verdict.levels[0].members
+        found = [(kappa, ell, k) for kappa, ell, k in members
+                 if list(coprime_residues(k, kappa, ell))]
+        assert (len(members), len(found), verdict.modulus) == (20, 6, 6)
+        assert lookups == {n0: len(found) for n0 in range(verdict.modulus)}
+        assert verdict == leading_profile(spec, 1)
 
     def test_amplitudes_periodic(self):
         # recomputing at n0 + P reproduces the same amplitudes

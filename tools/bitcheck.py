@@ -83,11 +83,10 @@ def _level_arcs(spec):
     """Per level k <= K_ARCS, the arcs of all its live cells, then of each
     cell alone: the paired route and, where c != -c (mod D), the unpaired one."""
     live = asymptotics._live_cells(spec)
-    L = spec.L
-    return [(k, [asymptotics._level_arcs(spec, k, (k - 1) % L + 1, cs)
+    return [(k, [asymptotics._level_arcs(spec, k, cs)
                  for cs in (list(cells), *([c] for c in cells))])
             for k in range(1, K_ARCS + 1)
-            if (cells := live.get(math.gcd(k, L)))]
+            if (cells := live.get(math.gcd(k, spec.L)))]
 
 
 def _members(spec, n):
