@@ -53,7 +53,7 @@ DIGESTS = Path(__file__).resolve().parent / "bitcheck.json"
 NAMED = ("5:1:-1", "5:1:1 5:2:-1", "5:2:-2 10:2:1 10:4:2",
          "12:5:-1", "30:2:-1", "60:5:-1")
 SEED, RANDOM_SPECS = 11, 300
-ORDER, K, K_ARCS, DEPTH = 80, 40, 40, 3
+ORDER, K, DEPTH = 80, 40, 3
 SLICE = 100
 SURFACES = ("expand", "level_arcs", "asym", "asym_K", "members",
             "dominant_levels", "profile_1", "profile_3", "compare", "errors")
@@ -80,12 +80,12 @@ def corpus() -> list[tuple[ProductSpec, int]]:
 
 
 def _level_arcs(spec):
-    """Per level k <= K_ARCS, the arcs of all its live cells, then of each
+    """Per level k <= K, the arcs of all its live cells, then of each
     cell alone: the paired route and, where c != -c (mod D), the unpaired one."""
     live = asymptotics._live_cells(spec)
     return [(k, [asymptotics._level_arcs(spec, k, cs)
                  for cs in (list(cells), *([c] for c in cells))])
-            for k in range(1, K_ARCS + 1)
+            for k in range(1, K + 1)
             if (cells := live.get(math.gcd(k, spec.L)))]
 
 
